@@ -81,6 +81,14 @@ same sweep — is machine-independent and gated against a 50% floor
 (detection costs a couple of row sends plus the bounded window, so a
 48-cell grid reclaims ~2/3 in practice).
 
+``e2e_cli_figure12`` is the end-to-end anchor: the wall time of a fresh
+``python -m repro experiments figure12`` process (cold, no disk cache,
+every ``REPRO_*`` variable scrubbed) and, as ``import_s``, of a fresh
+``python -c "import repro.cli"``; ``import_share`` is their ratio — the
+process floor every CLI run, daemon start and worker start pays. It is
+recorded only (``RECORD_ONLY_BENCHMARKS``): ``check_regression.py``
+applies no floor or ceiling to it.
+
 Usage:
 
     PYTHONPATH=src python benchmarks/perf/run_bench.py [--output PATH]
@@ -103,6 +111,7 @@ import json
 import os
 import pathlib
 import platform
+import subprocess
 import sys
 import time
 from typing import Callable, Dict, Optional, Sequence
@@ -136,7 +145,13 @@ KNOWN_BENCHMARKS = (
     "serve_cancel_reclaim",
     "remote_dispatch_overhead",
     "remote_delta_dedup",
+    "e2e_cli_figure12",
 )
+
+#: Anchors recorded for the trajectory but never gated: their absolute
+#: seconds are whole-process wall times that depend on the machine's
+#: interpreter start and disk, with no in-run reference to normalize by.
+RECORD_ONLY_BENCHMARKS = ("e2e_cli_figure12",)
 
 #: One-time measurements of the seed-commit implementation (c229933),
 #: best-of-20 on the reference container. Kept for the before/after
@@ -1084,6 +1099,34 @@ def run_benchmarks(
             entry[f"jobs{jobs}_s"] = seconds
         results["figure12_sweep_parallel"] = entry
 
+    # --- end to end: a fresh CLI process, import floor included --------
+    if want("e2e_cli_figure12"):
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+
+        def process(*args: str) -> Callable[[], object]:
+            def body():
+                subprocess.run(
+                    [sys.executable, *args], env=env, check=True,
+                    stdout=subprocess.DEVNULL, timeout=120,
+                )
+
+            return body
+
+        reps = reps_for(max(repeats // 4, 3))
+        cli_s = best_of(process("-m", "repro", "experiments", "figure12"), reps)
+        import_s = best_of(process("-c", "import repro.cli"), reps)
+        results["e2e_cli_figure12"] = {
+            "after_s": cli_s,
+            "import_s": import_s,
+            "import_share": import_s / cli_s,
+        }
+
     clear_simulation_cache()
     # Keep the hand-maintained --only name list honest: a full run must
     # produce exactly KNOWN_BENCHMARKS, a filtered run a subset of it.
@@ -1202,6 +1245,8 @@ def main(argv=None) -> int:
                 f"{entry['cold_delta_bytes']:.0f} cold shard bytes "
                 "re-shipped warm"
             )
+        if "import_share" in entry:
+            line += f"  {entry['import_share']:.0%} of it importing repro.cli"
         if "first_result_fraction" in entry:
             line += (
                 f"  first result at {entry['first_result_fraction']:.0%} "

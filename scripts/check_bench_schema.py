@@ -71,13 +71,14 @@ ANCHOR_REQUIRED_FIELDS: Dict[str, "tuple[str, ...]"] = {
         "cold_s", "cold_delta_bytes", "warm_delta_bytes",
         "warm_shard_bytes_ratio",
     ),
+    "e2e_cli_figure12": ("import_s", "import_share"),
 }
 
-#: Fields that are rates/fractions of a coalescing total and therefore
-#: must not exceed 1.0 (the generic numeric check only pins >= 0).
+#: Fields that are rates/fractions of a total and therefore must not
+#: exceed 1.0 (the generic numeric check only pins >= 0).
 UNIT_INTERVAL_FIELDS = (
     "coalesced_hit_rate", "reclaimed_fraction", "prefetch_hit_rate",
-    "warm_shard_bytes_ratio",
+    "warm_shard_bytes_ratio", "import_share",
 )
 
 

@@ -13,13 +13,21 @@ Binomial(W, d) and the expected bubbles follow the paper's formula::
     bpv = sum_{k=0}^{W/Lq - 1} k * [F((k+1) Lq; W, d) - F(k Lq; W, d)]
 
 where F is the binomial CDF.
+
+Grouping that sum by window size gives the same expectation term by
+term, ``bpv = sum_{k=Lq+1}^{W} (ceil(k / Lq) - 1) * P(K = k)``, which
+:func:`bubbles_per_vop_sparse` evaluates with the standard library:
+exact integer ``math.comb`` coefficients and one correctly rounded
+``math.fsum``. Summing the expectation directly avoids differencing
+two nearly equal CDF values. Against the CDF-difference form evaluated
+with a floating-point binomial CDF, ``1 + bpv`` agrees to 3.1e-15
+relative on every argument the paper's experiments use and to 2.9e-14
+for W up to 512 (``tests/test_core_bubbles.py`` pins the drift).
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.stats import binom
 
 from repro.errors import ConfigurationError
 from repro.units import TILE_ELEMS
@@ -57,21 +65,24 @@ def bubbles_per_vop_sparse(width: int, lq: int, density: float) -> float:
     """Expected bubbles per vOp for uniform unstructured sparsity.
 
     Implements the binomial-CDF expectation of Section 6.2. ``density`` is
-    the fraction of nonzeros d; the window size is Binomial(W, d).
+    the fraction of nonzeros d; the window size is Binomial(W, d). Only
+    windows wider than ``lq`` contribute, each ``ceil(k / lq) - 1``
+    bubbles weighted by its binomial probability.
     """
     if width < 1 or lq < 1:
         raise ConfigurationError("width and lq must be >= 1")
     if not 0.0 < density <= 1.0:
         raise ConfigurationError(f"density must be in (0, 1], got {density}")
-    max_extra = math.ceil(width / lq) - 1
-    if max_extra <= 0:
+    if lq >= width:
         return 0.0
-    expected = 0.0
-    for extra in range(max_extra + 1):
-        upper = binom.cdf(min((extra + 1) * lq, width), width, density)
-        lower = binom.cdf(extra * lq, width, density)
-        expected += extra * (upper - lower)
-    return float(expected)
+    absent = 1.0 - density
+    return math.fsum(
+        (math.ceil(k / lq) - 1)
+        * math.comb(width, k)
+        * density**k
+        * absent ** (width - k)
+        for k in range(lq + 1, width + 1)
+    )
 
 
 def bubbles_per_vop(

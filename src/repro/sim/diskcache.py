@@ -35,10 +35,11 @@ Versioning contract
 The schema directory name embeds :data:`ENTRY_FORMAT_VERSION` plus a
 fingerprint of the dataclass shapes an entry transitively contains
 (``SimResult``, ``PipelineTrace``, ``UtilizationReport``, ``SimSystem``,
-``MachineSpec``). Changing any of those fields — or bumping the format
-version — changes the directory name, so stale entries from an older
-code generation are simply never looked at; they are invalidated by
-construction rather than by deserialization failure.
+``MachineSpec``) and of :data:`MODEL_REVISION`. Changing any of those
+fields — or bumping the format version or the model revision — changes
+the directory name, so stale entries from an older code generation are
+simply never looked at; they are invalidated by construction rather
+than by deserialization failure.
 
 Concurrency
 -----------
@@ -108,6 +109,15 @@ from repro.sim.diskindex import (
 #: shape, the digest algorithm, the shard scheme). Field-level changes to
 #: the cached dataclasses are caught by the schema fingerprint instead.
 ENTRY_FORMAT_VERSION = 1
+
+#: Bump when the model computes different numbers for the same key (a
+#: changed formula, constant, or numerical evaluation, even at the
+#: 1e-15 level) while the cached dataclass shapes stay the same.
+#: Without a bump a warm cache would replay old-model results beside
+#: freshly computed ones. Revision 2: the binomial bubble expectation
+#: (``repro.core.bubbles``) is an exact-coefficient ``math.comb`` sum
+#: instead of floating-point CDF differences.
+MODEL_REVISION = 2
 
 #: Pickle protocol for entries. Protocol 4 is the newest one supported by
 #: every Python this package targets; pinning it keeps an entry written
@@ -225,14 +235,16 @@ _SCHEMA_FINGERPRINT: Optional[str] = None
 
 
 def schema_fingerprint() -> str:
-    """A short fingerprint of the dataclass shapes a cached entry holds.
+    """A short fingerprint of the result schema a cached entry belongs to.
 
     Hashes every field name and annotation of ``SimResult`` and the
-    types it transitively embeds. Adding, removing, renaming, or
-    re-typing a field changes the fingerprint — and with it the schema
-    directory name — so old entries are invalidated wholesale without
-    ever being read. (Imports are local to dodge the import cycle:
-    ``pipeline`` imports ``cache`` which imports this module.)
+    types it transitively embeds, plus :data:`MODEL_REVISION`. Adding,
+    removing, renaming, or re-typing a field, or bumping the model
+    revision, changes the fingerprint — and with it the schema
+    directory name and the socket executor's handshake — so old entries
+    are invalidated wholesale without ever being read. (Imports are
+    local to dodge the import cycle: ``pipeline`` imports ``cache``
+    which imports this module.)
     """
     global _SCHEMA_FINGERPRINT
     if _SCHEMA_FINGERPRINT is None:
@@ -250,6 +262,7 @@ def schema_fingerprint() -> str:
                 f"{field.name}:{field.type}" for field in fields(cls)
             )
             parts.append(f"{cls.__qualname__}({shape})")
+        parts.append(f"model-revision:{MODEL_REVISION}")
         blob = ";".join(parts).encode("utf-8")
         _SCHEMA_FINGERPRINT = hashlib.sha256(blob).hexdigest()[:12]
     return _SCHEMA_FINGERPRINT

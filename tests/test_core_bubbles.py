@@ -47,7 +47,9 @@ class TestDenseBubbles:
 
 class TestSparseBubbles:
     def test_zero_when_lq_covers_w(self):
-        assert bubbles_per_vop_sparse(32, 32, 0.5) == 0.0
+        for width, lq in ((32, 32), (32, 64), (8, 512)):
+            for density in (0.05, 0.5, 1.0):
+                assert bubbles_per_vop_sparse(width, lq, density) == 0.0
 
     def test_decreases_with_sparsity(self):
         dense_ish = bubbles_per_vop_sparse(32, 8, 0.9)
@@ -68,6 +70,33 @@ class TestSparseBubbles:
         emp = np.mean(np.maximum(np.ceil(windows / lq), 1) - 1)
         model = bubbles_per_vop_sparse(width, lq, density)
         assert model == pytest.approx(emp, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "width, lq, density, reference",
+        [
+            # ``scipy.stats.binom.cdf`` differences, the evaluation this
+            # model used before the stdlib sum; (64, 4, 0.3) drifts most.
+            (64, 4, 0.3, 4.175000000073812),
+            (64, 4, 0.5, 7.3749999999417915),
+            (64, 8, 0.5, 3.4367124245536607),
+            (64, 16, 0.3, 0.7668279136575925),
+            (32, 8, 0.2, 0.17463740280624784),
+            (16, 4, 0.1, 0.01700992264269452),
+            (8, 4, 0.05, 1.540488281248642e-05),
+        ],
+    )
+    def test_drift_from_scipy_cdf_is_pinned(
+        self, width, lq, density, reference
+    ):
+        # deca_vops_per_tile consumes 1 + bpv, so bound the drift there.
+        model = bubbles_per_vop_sparse(width, lq, density)
+        assert abs(model - reference) / (1.0 + reference) <= 1e-14
+
+    @pytest.mark.parametrize("width, lq", [(8, 4), (32, 8), (64, 4), (512, 7)])
+    def test_full_density_equals_dense(self, width, lq):
+        assert bubbles_per_vop_sparse(width, lq, 1.0) == bubbles_per_vop_dense(
+            width, lq
+        )
 
     def test_invalid_density(self):
         with pytest.raises(ConfigurationError):

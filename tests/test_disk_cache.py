@@ -11,6 +11,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.schemes import parse_scheme
+from repro.experiments.grid import run_grid
+from repro.sim import diskcache
 from repro.sim.cache import (
     SimulationCache,
     clear_simulation_cache,
@@ -235,6 +238,43 @@ class TestVersioning:
         simulate_tile_stream(hbm, timing, tiles=64)
         assert simulation_cache_stats().misses == 1
         assert stale.exists()  # untouched
+
+    def test_previous_model_revision_entries_are_not_served(
+        self, tmp_path, hbm, monkeypatch
+    ):
+        # A cache warmed by the previous model revision lives under the
+        # old fingerprint directory; the current code must recompute
+        # every cell instead of replaying old-model results.
+        schemes = (parse_scheme("Q4"), parse_scheme("Q8_5%"))
+        with monkeypatch.context() as old_model:
+            old_model.setattr(diskcache, "_SCHEMA_FINGERPRINT", None)
+            old_model.setattr(
+                diskcache, "MODEL_REVISION", diskcache.MODEL_REVISION - 1
+            )
+            old_dir = f"v1-{schema_fingerprint()}"
+            configure_simulation_cache_dir(str(tmp_path))
+            clear_simulation_cache()
+            run_grid(systems=(hbm,), schemes=schemes, tiles=64)
+            old_entries = simulation_cache_disk().entry_count()
+            configure_simulation_cache_dir(None)
+        assert old_entries > 0
+
+        configure_simulation_cache_dir(str(tmp_path))
+        clear_simulation_cache()
+        warm = run_grid(systems=(hbm,), schemes=schemes, tiles=64)
+        stats = simulation_cache_stats()
+        assert stats.disk_hits == 0
+        assert stats.misses > 0
+        disk = simulation_cache_disk()
+        assert disk.schema_dir.name == f"v1-{schema_fingerprint()}"
+        assert disk.schema_dir.name != old_dir
+        assert (tmp_path / old_dir).is_dir()
+        assert disk.entry_count() == old_entries
+
+        configure_simulation_cache_dir(None)
+        clear_simulation_cache()
+        cold = run_grid(systems=(hbm,), schemes=schemes, tiles=64)
+        assert warm == cold
 
     def test_tampered_fingerprint_field_is_rejected(self, tmp_path, hbm):
         timing = KernelTiming(bytes_per_tile=300.0, dec_cycles=20.0)

@@ -85,6 +85,11 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
     assert dedup["cold_s"] > 0.0
     assert dedup["cold_delta_bytes"] > 0.0
     assert 0.0 <= dedup["warm_shard_bytes_ratio"] <= 1.0
+    # The end-to-end anchor timed both processes (one sample each at
+    # smoke size, so the share is not range-checked here).
+    e2e = results["e2e_cli_figure12"]
+    assert e2e["import_s"] > 0.0
+    assert e2e["import_share"] > 0.0
     # Smoke mode must not have rewritten the recorded report.
     after = DEFAULT_OUTPUT.read_bytes() if DEFAULT_OUTPUT.exists() else None
     assert before == after

@@ -1,4 +1,5 @@
-"""Tests for the regression gate's skip reporting and ratio ceilings.
+"""Tests for the regression gate's skip reporting, ratio ceilings and
+record-only anchors.
 
 CI asserts skip *reasons* (e.g. the 1-CPU parallel-scaling skip) off a
 machine-readable JSON line rather than grepping prose, and the socket
@@ -88,3 +89,15 @@ def test_ratio_ceilings_flag_overhead_blowups():
     assert len(failures) == 2
     assert any("above the 2.00 ceiling" in f for f in failures)
     assert any("disappeared" in f for f in failures)
+
+
+def test_record_only_anchor_is_never_gated():
+    # The end-to-end CLI wall time is machine-bound with nothing in the
+    # run to normalize it by, so even a 3x slower fresh run passes.
+    recorded = {"e2e_cli_figure12": {"after_s": 0.4, "import_share": 0.6}}
+    fresh = {"e2e_cli_figure12": {"after_s": 1.2, "import_share": 0.9}}
+    assert check_regression.compare(recorded, fresh, 0.25) == []
+    # A gated anchor with the same numbers is flagged.
+    recorded = {"figure12_sweep": {"after_s": 0.4}}
+    fresh = {"figure12_sweep": {"after_s": 1.2}}
+    assert len(check_regression.compare(recorded, fresh, 0.25)) == 1

@@ -85,6 +85,21 @@ class TestHostConfiguration:
         with pytest.raises(ConfigurationError):
             list(stream_map(abs, [1, 2, 3, 4]))
 
+    def test_worker_on_another_model_revision_is_refused(self, monkeypatch):
+        # A worker whose model computes different numbers must not feed
+        # its cache deltas into this sweep: the schema fingerprint
+        # carries the model revision, so the handshake rejects it.
+        from repro.sim import diskcache
+
+        hosts = remote.start_loopback_workers(1)
+        remote.configure_sweep_hosts(hosts)
+        monkeypatch.setattr(diskcache, "_SCHEMA_FINGERPRINT", None)
+        monkeypatch.setattr(
+            diskcache, "MODEL_REVISION", diskcache.MODEL_REVISION + 1
+        )
+        with pytest.raises(ConfigurationError, match="result schema"):
+            _make_spec("grid").run(jobs=2)
+
 
 class TestBitEquality:
     @pytest.mark.parametrize("scenario", ["grid", "figure12", "dse"])
