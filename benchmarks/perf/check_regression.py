@@ -13,12 +13,10 @@ gate time-to-first-result: the fraction must stay below 1.0 — the
 streamed path emits its first result before the last cell computes —
 and within tolerance of the recorded ratio. ``RATIO_FLOORS`` adds
 machine-independent gates: the window-blocked multi-core engine must
-stay >=5x over its retained per-wave reference loop, the warm-start
-broadcast must keep persistent workers >=90% memory-hot on the second
-composite-scenario run, the cross-cell batched engine must hold its
-floors on both batching anchors (>=2.2x on the dispatch-bound 48-cell
-short-stream grid, no outright regression on the work-bound Figure 12
-workload), the serve daemon must coalesce >=90% of duplicate
+stay >=5x over its retained per-wave reference loop, the cross-cell
+batched engine must hold its floors on both batching anchors (>=2.2x on
+the dispatch-bound 48-cell short-stream grid, no outright regression on
+the work-bound Figure 12 workload), the serve daemon must coalesce >=90% of duplicate
 concurrent requests onto a single underlying sweep, and a cancelled
 sweep must leave >=50% of its grid's pool tasks undispatched.
 ``RATIO_CEILINGS`` is the mirror image for overhead ratios: loopback
@@ -183,13 +181,6 @@ RATIO_FLOORS = {
         "speedup_vs_reference_loop", 5.0,
         "the blocked event engine has degraded toward the per-wave loop",
     ),
-    # On the second composite run over one persistent pool, the
-    # warm-start broadcast must let workers serve >=90% of lookups
-    # from their in-memory cache.
-    "warm_worker_hit_rate": (
-        "worker_memory_hit_rate", 0.9,
-        "the warm-start broadcast no longer reaches persistent workers",
-    ),
     # The cross-cell batched engine must stay well clear of the per-cell
     # scan on the dispatch-bound 48-cell short-stream grid (recorded
     # >=3x; the floor leaves jitter headroom).
@@ -236,13 +227,6 @@ RATIO_FLOORS = {
         "index_attach_speedup", 1.5,
         "index-backed containment probes no longer beat the stat walk",
     ),
-    # With the entry broadcast disabled, pipelined prefetch alone must
-    # keep workers >=90% memory-hot on a warm replay: below this the
-    # prefetch broadcast is no longer warming worker LRUs ahead of need.
-    "prefetch_warm_sweep": (
-        "prefetch_hit_rate", 0.9,
-        "worker prefetch no longer warms the memory tier ahead of need",
-    ),
 }
 
 
@@ -277,9 +261,9 @@ RATIO_CEILINGS = {
         "loopback socket dispatch costs more than 2x the fork pool",
     ),
     # A warm replay on live socket workers must ship almost no shard
-    # bytes: the hash-sharded delta exchange dedups against each
-    # host's disk index, so re-sending more than 10% of the cold
-    # transfer means dedup has silently stopped recognizing entries.
+    # bytes: workers dedup their deltas against the parent's digest
+    # set, so re-sending more than 10% of the cold transfer means
+    # dedup has silently stopped recognizing entries.
     "remote_delta_dedup": (
         "warm_shard_bytes_ratio", 0.1,
         "warm socket replay re-ships cache shards dedup should skip",

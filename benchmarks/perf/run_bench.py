@@ -56,14 +56,6 @@ docs/PERFORMANCE.md.
 — the conservative end-to-end number on a real workload, gated only
 against a no-regression floor.
 
-``warm_worker_hit_rate`` tracks the warm-start cache broadcast
-(:mod:`repro.experiments.parallel`): the ``figure12+figure13``
-composite scenario runs twice on one persistent 2-worker pool. On the
-second run the parent broadcasts its merged entries back out at each
-sub-sweep's dispatch, so the workers serve every lookup from memory —
-``worker_memory_hit_rate`` is machine-independent and gated against a
-90% floor.
-
 ``serve_coalesced_8x`` tracks the sweep-serving daemon
 (:mod:`repro.serve`): eight clients request the identical cold Figure 12
 sweep concurrently and the daemon coalesces them onto one underlying
@@ -137,10 +129,8 @@ KNOWN_BENCHMARKS = (
     "figure12_batched",
     "grid_batched_48",
     "dse_warm_cache",
-    "warm_worker_hit_rate",
     "disk_delta_commit",
     "disk_index_attach",
-    "prefetch_warm_sweep",
     "serve_coalesced_8x",
     "serve_cancel_reclaim",
     "remote_dispatch_overhead",
@@ -565,70 +555,6 @@ def run_benchmarks(
             configure_simulation_cache_dir(None)
             shutil.rmtree(cache_root, ignore_errors=True)
 
-    # --- warm-start broadcast: composite scenario twice on one pool ----
-    if want("warm_worker_hit_rate"):
-        from repro.experiments.composite import figure12_figure13_sweep
-        from repro.experiments.parallel import shutdown_worker_pool
-        from repro.sim.cache import simulation_cache_stats
-
-        def composite_round():
-            sweep = figure12_figure13_sweep()
-            sweep.run(jobs=2)
-            return sweep.executions
-
-        def round_hit_rate(executions, stats_before) -> float:
-            hits = sum(ex.worker_hits for _, ex in executions)
-            misses = sum(ex.worker_misses for _, ex in executions)
-            disk = sum(ex.worker_disk_hits for _, ex in executions)
-            lookups = hits + misses + disk
-            if lookups == 0:
-                # Serial fallback (no fork): the cells ran in-process,
-                # so this round's delta of the parent's own counters
-                # carries the evidence (the cumulative totals would
-                # dilute the warm rate with the cold round's misses).
-                stats = simulation_cache_stats()
-                hits = stats.hits - stats_before.hits
-                lookups = (
-                    hits
-                    + (stats.misses - stats_before.misses)
-                    + (stats.disk_hits - stats_before.disk_hits)
-                )
-                return hits / lookups if lookups else 0.0
-            return hits / lookups
-
-        # Cold: fresh pool, empty cache — the composite computes all
-        # cells in the workers and merges them into the parent.
-        shutdown_worker_pool()
-        clear_simulation_cache()
-        start = time.perf_counter()
-        composite_round()
-        cold_s = time.perf_counter() - start
-        # Warm: same process, same (now stale) pool — the broadcast
-        # ships the parent's merged entries back out at dispatch, so
-        # worker lookups are served from worker memory.
-        warm_rates = []
-        warm_entries = []
-        warm_s = float("inf")
-        for _ in range(reps_for(max(repeats // 4, 3))):
-            stats_before = simulation_cache_stats()
-            start = time.perf_counter()
-            executions = composite_round()
-            warm_s = min(warm_s, time.perf_counter() - start)
-            warm_rates.append(round_hit_rate(executions, stats_before))
-            warm_entries.append(
-                sum(ex.broadcast_entries for _, ex in executions)
-            )
-        shutdown_worker_pool()
-        results["warm_worker_hit_rate"] = {
-            "after_s": warm_s,
-            "cold_s": cold_s,
-            "warm_speedup": cold_s / warm_s,
-            # The worst repetition, like the disk anchor: a flaky
-            # broadcast must not hide behind one clean rep.
-            "worker_memory_hit_rate": min(warm_rates),
-            "broadcast_entries": float(min(warm_entries)),
-        }
-
     # --- disk tier v2: packed group commit vs per-entry writes ---------
     if want("disk_delta_commit"):
         import shutil
@@ -743,80 +669,6 @@ def run_benchmarks(
             "stat_walk_s": before,
             "index_attach_speedup": before / after,
             "entries": float(probe_n),
-        }
-
-    # --- disk tier v2: pipelined prefetch into workers -----------------
-    if want("prefetch_warm_sweep"):
-        import shutil
-        import tempfile
-
-        from repro.experiments.parallel import (
-            WARM_BROADCAST_ENV,
-            last_sweep_execution,
-            shutdown_worker_pool,
-        )
-        from repro.sim.cache import configure_simulation_cache_dir
-
-        prefetch_root = tempfile.mkdtemp(prefix="repro-bench-prefetch-")
-        saved_budget = os.environ.get(WARM_BROADCAST_ENV)
-        # Entry broadcast disabled: any warmth the workers show comes
-        # from the index-driven prefetch alone.
-        os.environ[WARM_BROADCAST_ENV] = "0"
-        try:
-            configure_simulation_cache_dir(prefetch_root)
-            # Cold: compute the grid and spill every entry to disk.
-            shutdown_worker_pool()
-            clear_simulation_cache()
-            start = time.perf_counter()
-            cold_records = run_grid(batch=False, jobs=2)
-            cold_s = time.perf_counter() - start
-            # Warm replays: memory dropped each round (the restart
-            # scenario), pool kept. Workers must re-warm from the disk
-            # tier through the prefetch broadcast — lookups then land
-            # as worker memory hits, not lazy disk loads.
-            rates = []
-            warm_s = float("inf")
-            for _ in range(reps_for(max(repeats // 4, 3))):
-                clear_simulation_cache()
-                start = time.perf_counter()
-                warm_records = run_grid(batch=False, jobs=2)
-                warm_s = min(warm_s, time.perf_counter() - start)
-                assert warm_records == cold_records, (
-                    "prefetch-warm grid diverged from the cold run"
-                )
-                execution = last_sweep_execution()
-                assert execution.broadcast_entries == 0, (
-                    "entry broadcast ran with a zero budget"
-                )
-                lookups = (
-                    execution.worker_hits
-                    + execution.worker_misses
-                    + execution.worker_disk_hits
-                )
-                if lookups == 0:
-                    # Serial fallback (no fork): the prefetch seam is
-                    # worker-side only; record a full-warm rate from
-                    # the disk tier's behalf rather than a vacuous 0.
-                    rates.append(1.0)
-                else:
-                    rates.append(execution.worker_hits / lookups)
-            shutdown_worker_pool()
-        finally:
-            if saved_budget is None:
-                os.environ.pop(WARM_BROADCAST_ENV, None)
-            else:
-                os.environ[WARM_BROADCAST_ENV] = saved_budget
-            configure_simulation_cache_dir(None)
-            clear_simulation_cache()
-            shutil.rmtree(prefetch_root, ignore_errors=True)
-        results["prefetch_warm_sweep"] = {
-            "after_s": warm_s,
-            "cold_s": cold_s,
-            "warm_speedup": cold_s / warm_s,
-            # Worst repetition, like the other warm anchors: a racy
-            # prefetch must not hide behind one clean rep.
-            "prefetch_hit_rate": min(rates),
-            "cells": float(len(cold_records)),
         }
 
     # --- serve daemon: coalesced concurrent clients vs serial colds ----
@@ -1030,11 +882,11 @@ def run_benchmarks(
                 cold_exec.delta_bytes_sent
                 + cold_exec.delta_bytes_received
             )
-            # One convergence replay: the cold run split the grid across
-            # the workers, so each host holds only its own partition and
-            # the first replay legitimately cross-fills the other half
-            # via the warm broadcast. The measured warm replay runs on
-            # converged hosts, where dedup should leave ~nothing to ship.
+            # One untimed replay first: the deterministic contiguous
+            # partition hands each host the same half it computed cold,
+            # so every replay is answered from worker memory. The
+            # measured warm replay then runs on settled hosts, where
+            # dedup should leave ~nothing to ship.
             sum(1 for _ in spec.stream(jobs=1, batch=False))
             start = time.perf_counter()
             warm_rows = sum(1 for _ in spec.stream(jobs=1, batch=False))
@@ -1055,7 +907,7 @@ def run_benchmarks(
             "cold_s": cold_s,
             "cold_delta_bytes": float(cold_bytes),
             "warm_delta_bytes": float(warm_bytes),
-            # Both directions dedup against the other side's digest
+            # Workers dedup their deltas against the parent's digest
             # set, so a warm replay on live workers should ship ~none
             # of the cold run's shard traffic again.
             "warm_shard_bytes_ratio": warm_bytes / max(cold_bytes, 1),

@@ -35,12 +35,11 @@ Repeated simulations are served from the process-wide LRU cache
 independent configurations out across a persistent pool of forked
 worker processes whose caches are merged incrementally as cells finish
 (``--jobs 0`` = one worker per CPU; the pool is reused by every sweep
-in the invocation). When a later sweep reuses the pool, the parent
-broadcasts its warm in-memory entries back out to the workers first
-(bounded by ``REPRO_WARM_BROADCAST_BYTES``, default 8 MiB, ``0``
-disables), so back-to-back sweeps — e.g. the registered
-``figure12+figure13`` composite scenario — hit memory in the workers
-instead of recomputing. The same commands accept ``--cache-dir PATH``
+in the invocation). Workers start with a fork-time copy of the
+parent's cache, keep their own entries across sweeps, and read the
+shared disk tier lazily, so back-to-back sweeps — e.g. the registered
+``figure12+figure13`` composite scenario — stay warm without any
+dispatch-time traffic. The same commands accept ``--cache-dir PATH``
 (or the ``REPRO_CACHE_DIR`` environment variable) to spill simulation
 results to a disk-backed cache that survives process restarts: a
 re-run of the same sweep against a warm directory replays from disk
@@ -182,8 +181,7 @@ def _print_scenarios() -> None:
     for host, cells in sorted(topology["host_cells"].items()):
         print(f"  {host}: {cells} cells completed")
     if topology["host_cells"]:
-        print(f"  delta bytes: {topology['delta_bytes_sent']} sent, "
-              f"{topology['delta_bytes_received']} received")
+        print(f"  delta bytes received: {topology['delta_bytes_received']}")
 
 
 def _run_scenario(name: str, args: argparse.Namespace, emitter) -> None:
@@ -701,9 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="fork N workers for independent configurations and merge "
                  "their simulation caches on join (default: 1 = serial, "
                  "0 = one worker per CPU); the pool persists across "
-                 "sweeps within one invocation, and later sweeps "
-                 "broadcast the parent's warm cache entries back to it "
-                 "(bounded by REPRO_WARM_BROADCAST_BYTES, 0 disables)",
+                 "sweeps within one invocation",
         )
 
     def add_cache_dir(p: argparse.ArgumentParser) -> None:

@@ -28,7 +28,7 @@ from repro.sim.system import SimSystem
 from repro.units import TMUL_CYCLES
 
 #: Outstanding tile fetches for each prefetch discipline.
-_WINDOW_NO_PREFETCH = 2  # just the two Loaders' demand fetches
+_WINDOW_DEMAND_ONLY = 2  # just the two Loaders' demand fetches
 _WINDOW_L2_PREFETCHER = 8
 _WINDOW_DECA_PREFETCHER = 24
 
@@ -60,7 +60,7 @@ class DecaIntegration:
             return _WINDOW_DECA_PREFETCHER
         if self.reads_l2:
             return _WINDOW_L2_PREFETCHER
-        return _WINDOW_NO_PREFETCH
+        return _WINDOW_DEMAND_ONLY
 
     def exposed_latency(self, system: SimSystem) -> float:
         """Fraction of memory latency each tile fetch leaves visible."""

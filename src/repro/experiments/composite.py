@@ -3,12 +3,9 @@
 The registry's plain scenarios each run one :class:`~repro.experiments.
 sweepspec.SweepSpec`. A :class:`~repro.experiments.sweepspec.
 CompositeSweep` chains several of them into a single invocation sharing
-the persistent worker pool and the simulation cache — the natural demo
-for the executor's cache round-trip: the first sub-sweep's worker
-results merge into the parent as cells land, and the next sub-sweep's
-dispatch broadcasts the parent's warm entries back out to the (by then
-stale) persistent workers, each selected by that sub-sweep's own
-``warm_prefix``.
+the persistent worker pool and the simulation cache: the first
+sub-sweep's worker results merge into the parent as cells land, and
+the next sub-sweep runs on the same warm workers.
 
 ``figure12+figure13`` is the registered composite: both DDR and HBM
 per-scheme speedup sweeps in one streamed run, with per-spec result

@@ -35,56 +35,38 @@ Execution model
   configuration: a worker whose generation lags (the parent called
   ``clear_simulation_cache`` since the fork) drops its own copy before
   running, and a worker whose disk tier differs re-attaches. Clearing
-  therefore behaves exactly as with fork-per-sweep; *warmth* can be
-  slightly lower — entries merged into the parent after the fork are
-  not pushed back out, so a worker may recompute a cell a freshly
-  forked pool would have inherited (results are unaffected: the
-  simulator is pure; and with a disk tier the worker finds such
-  entries on disk anyway).
+  therefore behaves exactly as with fork-per-sweep.
 * Each finished cell ships back only the cache entries that cell
-  *added* in its worker (inherited and earlier-cell keys are
-  snapshotted at cell start) plus its hit/miss/disk-hit deltas; the
-  parent folds them in via
-  :func:`repro.sim.cache.merge_simulation_cache`, keyed by the same
-  ``simulation_key`` — incrementally, as the chunks arrive, not at a
-  barrier join. Duplicate keys across workers must resolve
+  *computed* in its worker (inherited and earlier-cell keys are
+  snapshotted at cell start, and entries the cell loaded from the
+  shared disk tier are skipped — the parent reaches the same
+  directory) plus its hit/miss/disk-hit deltas; the parent folds them
+  in via :func:`repro.sim.cache.merge_simulation_cache`, keyed by the
+  same ``simulation_key`` — incrementally, as the chunks arrive, not
+  at a barrier join. Duplicate keys across workers must resolve
   bit-identically (asserted in debug mode) — the simulator is pure, so
   anything else is a bug. With a disk tier configured
   (:mod:`repro.sim.diskcache`), workers spill their computed entries to
   the shared cache directory as they go, and the parent's merge skips
   re-writing them (content-addressed store).
 
-Warm-start broadcast (the reverse cache path)
----------------------------------------------
+Worker warmth
+-------------
 
-Worker→parent merging alone leaves persistent workers *stale*: entries
-merged into the parent after the pool forked (another worker's results,
-an earlier sweep in the same invocation) are invisible to them, so a
-later sweep revisiting those configurations recomputes — or re-reads
-from disk — results the parent already holds in memory. At dispatch
-time on a **reused** pool, :func:`stream_map` therefore broadcasts the
-parent's relevant in-memory entries out to every worker before the
-first cell is submitted:
+Nothing is pushed to workers at dispatch. A worker is warm through
+three paths that cost the sweep nothing up front:
 
-* relevance is a ``simulation_key`` prefix (``warm_prefix``, typically
-  the sweep's ``SimSystem``) — ``None`` ships the MRU entries across
-  the board;
-* the selection is bounded by a byte budget
-  (:data:`WARM_BROADCAST_DEFAULT_BYTES`, overridable per call via
-  ``warm_budget`` or globally via ``REPRO_WARM_BROADCAST_BYTES``;
-  ``0`` disables the broadcast entirely);
-* delivery uses one task per pool worker synchronized on a barrier
-  (forked before the pool, so workers inherit it), guaranteeing every
-  worker merges the payload exactly once; a broken/timed-out barrier
-  degrades to best-effort merges — results are never affected, only
-  warmth;
-* a freshly forked pool skips the broadcast: those workers inherited
-  the parent's whole cache through ``fork`` already.
+* **fork inheritance** — a freshly forked pool starts with a copy of
+  the parent's whole in-memory cache;
+* **its own LRU** — a persistent worker keeps what it computed or
+  loaded in earlier sweeps of the invocation;
+* **the shared disk tier** — with a cache directory configured, a
+  worker lazily loads any entry the parent or another worker spilled.
 
-The broadcast only moves *cache entries*; results are bit-identical
-with it on or off — only ``CacheStats`` hit counters (and wall-clock)
-change. ``SweepExecution`` records what was shipped
-(``broadcast_entries`` / ``broadcast_bytes`` / ``broadcast_workers``).
+Entries merged into the parent after the fork are therefore not in a
+reused worker's memory; without a disk tier such a worker recomputes
+them. Results are unaffected either way: the simulator is pure, so
+warmth moves only hit counters and wall-clock.
 
 Cancellation contract
 ---------------------
@@ -106,8 +88,9 @@ When worker hosts are configured (``--hosts`` on the sweep CLIs, the
 :mod:`repro.experiments.remote` instead of the local fork pool:
 contiguous cell partitions go to N ``repro worker`` processes over
 length-prefixed frames, chunks stream back through this module's same
-incremental-merge/index-sort path, and cache state is exchanged as
-hash-sharded packed deltas deduped against each host's digest set.
+incremental-merge/index-sort path, and each worker's cache delta comes
+back as hash-sharded packed entries deduped against the parent's
+digest set.
 Results are bit-identical to the serial and fork paths; host death
 recovers by in-parent recompute exactly like the fork backend's
 worker-loss path. The host list overrides ``jobs`` — the hosts *are*
@@ -132,7 +115,6 @@ import atexit
 import multiprocessing
 import multiprocessing.pool
 import os
-import pickle
 import queue
 import signal
 import sys
@@ -155,28 +137,6 @@ from repro.sim import cache as _simcache
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Default byte budget for the warm-start broadcast payload (pickled
-#: entries shipped to each persistent worker at sweep dispatch).
-WARM_BROADCAST_DEFAULT_BYTES = 8 * 1024 * 1024
-
-#: Environment override for the broadcast budget ("0" disables).
-WARM_BROADCAST_ENV = "REPRO_WARM_BROADCAST_BYTES"
-
-#: How long a worker waits at the broadcast barrier before degrading to
-#: a best-effort merge (seconds).
-_BROADCAST_BARRIER_TIMEOUT_S = 30.0
-
-#: Environment escape hatch for the pipelined prefetch broadcast: set
-#: to any non-empty value to skip shipping the upcoming keys to workers
-#: (they fall back to lazy per-touch disk loads, the pre-v2 behaviour).
-PREFETCH_DISABLE_ENV = "REPRO_NO_PREFETCH"
-
-#: Floor of the synchronous prefetch prefix: at least this many keys
-#: (or two per worker, whichever is larger) are warmed *before* the
-#: prefetch task returns, so the first in-flight window of cells finds
-#: a warm LRU instead of racing the background thread.
-_PREFETCH_SYNC_MIN = 16
 
 #: How long the streaming join waits with *zero* chunks landing after a
 #: worker death was observed before concluding the dead worker took
@@ -259,23 +219,9 @@ class SweepExecution:
     completed: int = 0
     #: Whether the stream was closed before every cell ran.
     cancelled: bool = False
-    #: Warm-start broadcast: entries shipped to each worker at dispatch,
-    #: their total pickled payload size, and how many workers confirmed
-    #: the merge (0 0 0 when the broadcast was skipped or disabled).
-    broadcast_entries: int = 0
-    broadcast_bytes: int = 0
-    broadcast_workers: int = 0
     #: Cells re-dispatched after a pool worker died mid-sweep (0 in
     #: healthy runs; see the worker-loss recovery contract).
     redispatched_cells: int = 0
-    #: Pipelined prefetch broadcast: keys shipped to each worker at
-    #: dispatch, how many workers confirmed the prefetch task, and how
-    #: many entries the synchronous prefix warmed across all workers
-    #: (0 0 0 when skipped — no disk tier, no keys, or disabled via
-    #: ``REPRO_NO_PREFETCH``).
-    prefetch_keys: int = 0
-    prefetch_workers: int = 0
-    prefetched_entries: int = 0
     #: Which executor ran the sweep: ``"serial"`` (in-process loop),
     #: ``"fork"`` (local process pool), or ``"socket"`` (the remote
     #: backend in :mod:`repro.experiments.remote`).
@@ -285,7 +231,9 @@ class SweepExecution:
     hosts: Tuple[str, ...] = ()
     host_cells: Tuple[Tuple[str, int], ...] = ()
     #: Hash-sharded cache-delta traffic of a socket sweep (shard
-    #: payload bytes, each direction; 0 for serial/fork sweeps).
+    #: payload bytes, each direction; 0 for serial/fork sweeps). The
+    #: parent ships no entries to workers, so ``delta_bytes_sent`` is
+    #: always 0; it stays so reports keep their shape.
     delta_bytes_sent: int = 0
     delta_bytes_received: int = 0
 
@@ -332,16 +280,10 @@ _POOL_SUSPECT = False
 _POOL_LOCK = threading.Lock()
 
 #: Cumulative count of cell tasks handed to the pool by this process
-#: (``apply_async`` submissions; warm-broadcast tasks and in-parent
-#: worker-loss recovery excluded). Tests use deltas of this to pin
+#: (``apply_async`` submissions; in-parent worker-loss recovery
+#: excluded). Tests use deltas of this to pin
 #: "exactly one sweep's worth of compute happened".
 _DISPATCHED_TASKS = 0
-
-#: Barrier synchronizing the warm-start broadcast: created *before* the
-#: pool forks (workers inherit it — multiprocessing primitives cannot be
-#: pickled into task payloads), parties == pool width.
-_POOL_BARRIER = None
-
 
 def dispatched_task_count() -> int:
     """Cumulative cell tasks this process has handed to the pool."""
@@ -363,14 +305,11 @@ def _get_pool(n_jobs: int) -> multiprocessing.pool.Pool:
 
 
 def _get_pool_locked(n_jobs: int) -> multiprocessing.pool.Pool:
-    global _POOL, _POOL_JOBS, _ATEXIT_REGISTERED, _POOL_BARRIER
+    global _POOL, _POOL_JOBS, _ATEXIT_REGISTERED
     if _POOL is not None and _POOL_JOBS < n_jobs and not _POOL_OWNED:
         _shutdown_pool_locked()
     if _POOL is None:
         context = multiprocessing.get_context("fork")
-        # The broadcast barrier must exist before the fork so workers
-        # see the same object through inherited memory.
-        _POOL_BARRIER = context.Barrier(n_jobs)
         _POOL = context.Pool(n_jobs, initializer=_mark_worker)
         _POOL_JOBS = n_jobs
         if not _ATEXIT_REGISTERED:
@@ -400,7 +339,7 @@ def shutdown_worker_pool() -> None:
 
 
 def _shutdown_pool_locked() -> None:
-    global _POOL, _POOL_JOBS, _POOL_BARRIER, _POOL_SUSPECT
+    global _POOL, _POOL_JOBS, _POOL_SUSPECT
     if _POOL is not None:
         if _POOL_SUSPECT:
             # A worker died on this pool; its shared task queue may be
@@ -411,6 +350,13 @@ def _shutdown_pool_locked() -> None:
             # may have died *holding*. Kill the surviving workers
             # first (none can then re-grab the lock), force the
             # orphaned lock open, and only then terminate.
+            #
+            # The pool respawns every worker that dies, so stop that
+            # first: a replacement forked between the kills and the
+            # drain would take the freed reader lock (the drain then
+            # blocks forever) or read half a task under it (the drain
+            # then unpickles a torn frame).
+            _stop_pool_threads(_POOL)
             for worker in list(getattr(_POOL, "_pool", [])):
                 if worker.pid is not None:
                     try:
@@ -437,8 +383,21 @@ def _shutdown_pool_locked() -> None:
         _POOL.join()
         _POOL = None
         _POOL_JOBS = 0
-        _POOL_BARRIER = None
         _POOL_SUSPECT = False
+
+
+def _stop_pool_threads(pool: multiprocessing.pool.Pool) -> None:
+    """Stop ``pool``'s worker-respawn thread; let its task thread finish.
+
+    Stopping the respawn thread also sends the task thread its shutdown
+    sentinel. Waiting a moment for it means the result-queue lock the
+    suspect teardown force-frees is one a dead worker holds, not one
+    the task thread holds mid-send.
+    """
+    pool._worker_handler._state = multiprocessing.pool.TERMINATE
+    pool._change_notifier.put(None)
+    pool._worker_handler.join(timeout=_JOIN_POLL_S)
+    pool._task_handler.join(timeout=_JOIN_POLL_S)
 
 
 def _mark_pool_suspect() -> None:
@@ -525,8 +484,9 @@ def _run_cell(
     in-memory cache if the parent cleared since the fork, and attach the
     parent's disk tier if it changed (both no-ops in the common case).
     The returned chunk is the streaming-join unit: the cell's index, its
-    result, the cache entries this cell *added* in this worker, and the
-    hit/miss/disk-hit deltas it incurred.
+    result, the cache entries this cell *computed* in this worker (its
+    loads from the shared disk tier are left out — the parent runs on
+    the same directory), and the hit/miss/disk-hit deltas it incurred.
     """
     fn, index, item, generation, cache_dir = payload
     _simcache.sync_simulation_cache_generation(generation)
@@ -536,11 +496,7 @@ def _run_cell(
     before = _simcache.simulation_cache_stats()
     result = fn(item)
     after = _simcache.simulation_cache_stats()
-    new_entries = [
-        (key, value)
-        for key, value in _simcache.export_simulation_cache()
-        if key not in baseline_keys
-    ]
+    new_entries = _simcache.new_simulation_cache_entries(baseline_keys)
     return (
         index,
         result,
@@ -560,210 +516,6 @@ def _worker_loss_grace() -> float:
         except ValueError:
             pass
     return WORKER_LOSS_GRACE_DEFAULT_S
-
-
-def _warm_broadcast_budget(warm_budget: Optional[int]) -> int:
-    """Resolve the broadcast byte budget (call arg > env > default)."""
-    if warm_budget is not None:
-        return max(0, int(warm_budget))
-    raw = os.environ.get(WARM_BROADCAST_ENV)
-    if raw is not None:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            return WARM_BROADCAST_DEFAULT_BYTES
-    return WARM_BROADCAST_DEFAULT_BYTES
-
-
-def _absorb_warm_entries(payload: bytes) -> int:
-    """Worker body of the warm-start broadcast: merge parent entries.
-
-    One such task is submitted per pool worker; the inherited barrier
-    holds each worker until all of them have picked one up, so no
-    worker can drain two (and none is skipped). After the rendezvous,
-    each worker syncs its cache generation/disk tier to the parent's
-    and merges the shipped entries into its in-memory cache. A broken
-    or timed-out barrier degrades to a best-effort merge — the merge is
-    idempotent and affects only cache warmth, never results.
-
-    ``payload`` is the parent's pre-pickled ``(generation, cache_dir,
-    entries)`` blob: pickling once and shipping bytes keeps dispatch
-    cost independent of the pool width (re-pickling bytes per worker
-    is a memcpy, re-pickling the entries would not be).
-    """
-    generation, cache_dir, entries = pickle.loads(payload)
-    barrier = _POOL_BARRIER
-    if barrier is not None:
-        try:
-            barrier.wait(timeout=_BROADCAST_BARRIER_TIMEOUT_S)
-        except threading.BrokenBarrierError:  # pragma: no cover - degraded
-            pass
-    _simcache.sync_simulation_cache_generation(generation)
-    if _simcache.simulation_cache_dir() != cache_dir:
-        _simcache.configure_simulation_cache_dir(cache_dir)
-    stats = _simcache.merge_simulation_cache(entries)
-    return stats.inserted + stats.duplicates
-
-
-def _broadcast_warm_entries(
-    pool: multiprocessing.pool.Pool,
-    generation: int,
-    cache_dir: Optional[str],
-    entries: List[Tuple[Any, Any]],
-) -> int:
-    """Ship ``entries`` to every worker of ``pool``; workers reached.
-
-    Blocks until each worker has merged the payload (one barrier
-    round-trip), so the cells dispatched right after find warm caches.
-    Failures degrade silently to a colder sweep — never a failed one.
-    """
-    width = _POOL_JOBS
-    payload = pickle.dumps(
-        (generation, cache_dir, entries), pickle.HIGHEST_PROTOCOL
-    )
-    pending = [
-        pool.apply_async(_absorb_warm_entries, (payload,))
-        for _ in range(width)
-    ]
-    reached = 0
-    for handle in pending:
-        try:
-            handle.get(timeout=2 * _BROADCAST_BARRIER_TIMEOUT_S)
-            reached += 1
-        except Exception:  # pragma: no cover - degraded broadcast
-            pass
-    return reached
-
-
-def prefetch_enabled() -> bool:
-    """Whether the pipelined prefetch broadcast is enabled.
-
-    ``REPRO_NO_PREFETCH`` (any value other than empty or ``"0"``,
-    mirroring ``REPRO_NO_BATCH``/``REPRO_NO_PACK``) routes workers back
-    to lazy disk loads — the escape hatch for debugging warmth issues
-    or pinning pre-v2 behaviour.
-    """
-    env = os.environ.get(PREFETCH_DISABLE_ENV, "")
-    return not env or env == "0"
-
-
-#: Worker-local cancellation handle of the background prefetch thread.
-#: A new sweep's prefetch task (or a stop task after a cancelled sweep)
-#: sets it, so at most one prefetch thread per worker is ever live.
-_PREFETCH_CANCEL: Optional[threading.Event] = None
-
-
-def _cancel_worker_prefetch() -> None:
-    """Stop this worker's background prefetch thread, if one is live."""
-    global _PREFETCH_CANCEL
-    cancel = _PREFETCH_CANCEL
-    if cancel is not None:
-        cancel.set()
-        _PREFETCH_CANCEL = None
-
-
-def _start_prefetch(payload: bytes) -> int:
-    """Worker body of the prefetch broadcast: warm the LRU from disk.
-
-    One such task is submitted per pool worker, rendezvoused on the
-    inherited barrier exactly like the warm-entry broadcast, so every
-    worker runs it once. The worker then syncs its cache state to the
-    parent's, cancels any prefetch thread left over from an earlier
-    sweep, warms a synchronous *prefix* of the keys (sized so the first
-    in-flight window of cells lands on a warm LRU), and hands the tail
-    to a daemon thread that keeps pipelining loads underneath the
-    sweep's real cells. Both the prefix and the tail poll the sweep
-    deadline and the cancel event between keys — a cancelled or expired
-    sweep stops prefetching within one entry. Returns how many entries
-    the synchronous prefix promoted.
-
-    Warmth-only, like every broadcast: prefetched entries are
-    counter-neutral disk reads (:meth:`SimulationCache.prefetch`), so
-    results and hit/miss accounting are identical with prefetch on or
-    off — later real lookups simply land as memory hits instead of
-    lazy disk hits.
-    """
-    generation, cache_dir, keys, deadline, sync_count = pickle.loads(
-        payload
-    )
-    barrier = _POOL_BARRIER
-    if barrier is not None:
-        try:
-            barrier.wait(timeout=_BROADCAST_BARRIER_TIMEOUT_S)
-        except threading.BrokenBarrierError:  # pragma: no cover - degraded
-            pass
-    global _PREFETCH_CANCEL
-    _cancel_worker_prefetch()
-    _simcache.sync_simulation_cache_generation(generation)
-    if _simcache.simulation_cache_dir() != cache_dir:
-        _simcache.configure_simulation_cache_dir(cache_dir)
-    cancel = threading.Event()
-    _PREFETCH_CANCEL = cancel
-
-    def should_stop() -> bool:
-        return cancel.is_set() or (
-            deadline is not None and time.monotonic() >= deadline
-        )
-
-    warmed = _simcache.prefetch_simulation_keys(
-        keys[:sync_count], should_stop=should_stop
-    )
-    tail = keys[sync_count:]
-    if tail and not should_stop():
-        thread = threading.Thread(
-            target=_simcache.prefetch_simulation_keys,
-            args=(tail,),
-            kwargs={"should_stop": should_stop},
-            name="repro-prefetch",
-            daemon=True,
-        )
-        thread.start()
-    return warmed
-
-
-def _stop_prefetch() -> None:
-    """Worker body: cancel this worker's background prefetch (idempotent).
-
-    Submitted fire-and-forget (no barrier — the pool may be mid-drain)
-    when a sweep ends early, so a cancelled sweep's workers stop
-    touching the disk within one task round-trip instead of walking the
-    whole remaining key list.
-    """
-    _cancel_worker_prefetch()
-
-
-def _broadcast_prefetch_keys(
-    pool: multiprocessing.pool.Pool,
-    generation: int,
-    cache_dir: Optional[str],
-    keys: List[Any],
-    deadline: Optional[float],
-) -> Tuple[int, int]:
-    """Ship the upcoming cells' keys to every worker of ``pool``.
-
-    Blocks until each worker has warmed its synchronous prefix (the
-    background tails keep running underneath the sweep). Returns
-    ``(workers_reached, entries_sync_warmed)``; failures degrade to a
-    colder sweep, never a failed one.
-    """
-    width = _POOL_JOBS
-    sync_count = min(len(keys), max(_PREFETCH_SYNC_MIN, 2 * width))
-    payload = pickle.dumps(
-        (generation, cache_dir, keys, deadline, sync_count),
-        pickle.HIGHEST_PROTOCOL,
-    )
-    pending = [
-        pool.apply_async(_start_prefetch, (payload,))
-        for _ in range(width)
-    ]
-    reached = warmed = 0
-    for handle in pending:
-        try:
-            warmed += handle.get(timeout=2 * _BROADCAST_BARRIER_TIMEOUT_S)
-            reached += 1
-        except Exception:  # pragma: no cover - degraded broadcast
-            pass
-    return reached, warmed
 
 
 def _serial_stream(
@@ -810,10 +562,7 @@ def _parallel_stream(
     items: List[_T],
     n_jobs: int,
     progress: Optional[Callable[[int, int], None]],
-    warm_prefix: Optional[Tuple[Any, ...]] = None,
-    warm_budget: Optional[int] = None,
     deadline: Optional[float] = None,
-    prefetch_keys: Optional[Sequence[Any]] = None,
 ) -> Iterator[Tuple[int, _R]]:
     """The fanned-out streaming loop: dispatch cells, join as they land.
 
@@ -821,11 +570,6 @@ def _parallel_stream(
     early ``close()`` leaves at most a handful of cells running; those
     are drained — and their cache deltas merged — before the generator
     returns, leaving the persistent pool quiescent for the next sweep.
-
-    On a *reused* pool, the parent first broadcasts its relevant warm
-    cache entries to every worker (see the module docstring's
-    warm-start broadcast contract); a freshly forked pool inherited
-    them already.
 
     Worker-loss recovery: queue waits poll so the join can notice the
     pool's worker PID set changing (the pool respawns a killed worker,
@@ -849,29 +593,6 @@ def _parallel_stream(
     reused = 0 < pre_existing and pre_existing >= n_jobs
     generation = _simcache.simulation_cache_generation()
     cache_dir = _simcache.simulation_cache_dir()
-    broadcast_entries = broadcast_bytes = broadcast_workers = 0
-    if reused:
-        budget = _warm_broadcast_budget(warm_budget)
-        if budget > 0:
-            entries, total = _simcache.select_simulation_cache_entries(
-                prefix=warm_prefix, max_bytes=budget
-            )
-            if entries:
-                broadcast_workers = _broadcast_warm_entries(
-                    pool, generation, cache_dir, entries
-                )
-                broadcast_entries = len(entries)
-                broadcast_bytes = total
-    # The prefetch broadcast goes to fresh pools too: it warms from the
-    # *disk* tier, whose entries a freshly forked worker does not hold
-    # in memory any more than a reused one does.
-    prefetched_keys = prefetch_workers = prefetched_entries = 0
-    key_list = list(prefetch_keys) if prefetch_keys else []
-    if key_list and cache_dir is not None and prefetch_enabled():
-        prefetch_workers, prefetched_entries = _broadcast_prefetch_keys(
-            pool, generation, cache_dir, key_list, deadline
-        )
-        prefetched_keys = len(key_list)
     done: "queue.Queue[Any]" = queue.Queue()
     total = len(items)
     window = min(total, 2 * n_jobs)
@@ -1061,31 +782,13 @@ def _parallel_stream(
             except Exception as error:  # e.g. a merge bit-equality assert
                 if failure is None:
                     failure = error
-        if prefetch_workers and len(received) < total:
-            # The sweep ended early (close, deadline, failure) with
-            # background prefetch threads possibly still walking keys;
-            # tell each worker to stop. Fire-and-forget: stopping is an
-            # optimization (idle disk reads are harmless), so a wedged
-            # pool must not turn it into a hang.
-            if not _POOL_SUSPECT:
-                for _ in range(_POOL_JOBS):
-                    try:
-                        pool.apply_async(_stop_prefetch)
-                    except Exception:  # pragma: no cover - degraded
-                        break
         _LAST_EXECUTION = SweepExecution(
             jobs=n_jobs, tasks=total, merged_entries=merged,
             duplicate_entries=duplicates, worker_hits=hits,
             worker_misses=misses, worker_disk_hits=disk_hits,
             pool_reused=reused, completed=len(received),
             cancelled=failure is None and len(received) < total,
-            broadcast_entries=broadcast_entries,
-            broadcast_bytes=broadcast_bytes,
-            broadcast_workers=broadcast_workers,
             redispatched_cells=redispatched,
-            prefetch_keys=prefetched_keys,
-            prefetch_workers=prefetch_workers,
-            prefetched_entries=prefetched_entries,
         )
     if failure is not None:
         raise failure
@@ -1096,10 +799,7 @@ def stream_map(
     items: Sequence[_T],
     jobs: Optional[int] = 1,
     progress: Optional[Callable[[int, int], None]] = None,
-    warm_prefix: Optional[Tuple[Any, ...]] = None,
-    warm_budget: Optional[int] = None,
     deadline: Optional[float] = None,
-    prefetch_keys: Optional[Sequence[Any]] = None,
 ) -> Iterator[Tuple[int, _R]]:
     """Yield ``(index, fn(item))`` pairs in index order, streaming.
 
@@ -1114,12 +814,6 @@ def stream_map(
     after each cell finishes — in *completion* order, which is not
     necessarily index order.
 
-    ``warm_prefix`` / ``warm_budget`` tune the warm-start broadcast to
-    persistent workers (see the module docstring): a ``simulation_key``
-    prefix selecting which parent entries are relevant, and a byte
-    budget capping the payload (``None`` = ``REPRO_WARM_BROADCAST_BYTES``
-    or the 8 MiB default; ``0`` disables).
-
     Closing the generator early stops dispatch immediately; see the
     module docstring's cancellation contract.
 
@@ -1131,14 +825,6 @@ def stream_map(
     the expiry remain valid; a running cell is never interrupted, so the
     stream stops within one cell (serial) or one in-flight window
     (parallel) of the deadline.
-
-    ``prefetch_keys`` — the ``simulation_key``s the sweep's cells are
-    about to look up, in dispatch order — enables the pipelined
-    prefetch broadcast: workers warm their memory LRU from the disk
-    tier ahead of the cells that need the entries (see the module
-    docstring; ``REPRO_NO_PREFETCH`` disables, and without a disk tier
-    the keys are ignored). Warmth-only, like the entry broadcast:
-    results are bit-identical with it on or off.
     """
     items = list(items)
     if len(items) > 1 and not _IN_WORKER:
@@ -1151,26 +837,18 @@ def stream_map(
         hosts = _remote.active_sweep_hosts()
         if hosts:
             return _remote.remote_stream(
-                fn, items, hosts, progress,
-                warm_prefix=warm_prefix, warm_budget=warm_budget,
-                deadline=deadline, prefetch_keys=prefetch_keys,
+                fn, items, hosts, progress, deadline=deadline
             )
     n_jobs = resolve_jobs(jobs, len(items))
     if n_jobs <= 1:
         return _serial_stream(fn, items, progress, deadline=deadline)
-    return _parallel_stream(
-        fn, items, n_jobs, progress,
-        warm_prefix=warm_prefix, warm_budget=warm_budget,
-        deadline=deadline, prefetch_keys=prefetch_keys,
-    )
+    return _parallel_stream(fn, items, n_jobs, progress, deadline=deadline)
 
 
 def parallel_map(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
     jobs: Optional[int] = 1,
-    warm_prefix: Optional[Tuple[Any, ...]] = None,
-    warm_budget: Optional[int] = None,
 ) -> List[_R]:
     """``[fn(x) for x in items]``, optionally fanned out across processes.
 
@@ -1178,13 +856,6 @@ def parallel_map(
     returns the full result list in input order. With ``jobs=1`` (the
     default) this is the serial comprehension; with more, cells run in
     forked workers and their cache entries are merged as each cell
-    lands (see the module docstring for the full contract, including
-    the warm-start broadcast ``warm_prefix``/``warm_budget`` tuning).
+    lands (see the module docstring for the full contract).
     """
-    return [
-        result
-        for _, result in stream_map(
-            fn, items, jobs=jobs,
-            warm_prefix=warm_prefix, warm_budget=warm_budget,
-        )
-    ]
+    return [result for _, result in stream_map(fn, items, jobs=jobs)]

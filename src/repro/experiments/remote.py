@@ -19,31 +19,27 @@ each message, so stale frames from an aborted sweep are dropped
 instead of corrupting the next one. One handshake + run conversation:
 
 * parent → ``("sync", seq, generation)``; worker adopts the cache
-  clear-generation and replies ``("state", seq, fingerprint,
-  digests)`` — its schema fingerprint plus the ``key_digest`` set it
-  already holds (memory keys and disk-index snapshot).
-* parent → ``("shards", seq, groups)``: the warm-start broadcast as
-  **hash-sharded packed deltas** — entries grouped by the 2-hex-char
-  ``key_digest`` prefix (the disk tier's fan-out directories), each
-  entry shipped as the verbatim pack payload bytes
-  (:func:`repro.sim.diskcache.encode_entry_payload`), pre-filtered
-  against the worker's declared digest set so only missing shards
-  cross the wire. Worker merges and replies ``("shards-ok", seq, n)``.
-* parent → ``("run", seq, fn, cells, deadline_s, parent_digests,
-  prefetch_keys)``: a contiguous partition of ``(index, item)`` cells.
-  The worker runs them in order, polling for ``("stop",)`` frames and
-  the deadline between cells, and streams back one ``("chunk", seq,
-  index, result, shard_payloads, extra_entries, d_hits, d_misses,
-  d_disk)`` per finished cell — its cache delta sharded and deduped
-  against the parent's digest snapshot the same way — then ``("done",
-  seq, completed)``. A cell exception becomes ``("error", seq,
-  traceback)`` and surfaces in the parent as
+  clear-generation and replies ``("state", seq, fingerprint)`` — its
+  schema fingerprint, which must match the parent's.
+* parent → ``("run", seq, fn, cells, deadline_s, parent_digests)``: a
+  contiguous partition of ``(index, item)`` cells. The worker runs
+  them in order, polling for ``("stop",)`` frames and the deadline
+  between cells, and streams back one ``("chunk", seq, index, result,
+  shard_payloads, extra_entries, d_hits, d_misses, d_disk)`` per
+  finished cell — the cache entries the cell added, as **hash-sharded
+  packed deltas**: each entry is the verbatim pack payload
+  (:func:`repro.sim.diskcache.encode_entry_payload`) keyed by its
+  ``key_digest``, and entries whose digest is in the parent's snapshot
+  (its memory keys plus disk index) never cross the wire — then
+  ``("done", seq, completed)``. A cell exception becomes ``("error",
+  seq, traceback)`` and surfaces in the parent as
   :class:`repro.errors.RemoteWorkerError`.
 
-Because both directions dedup against the other side's digest set, a
-*second* sweep over live workers ships ~0 shard bytes: the workers'
-memory caches answer every cell, so no new entries exist to return,
-and the parent's warm entries are all in the workers' declared sets.
+Nothing flows parent → worker except cells: a worker stays warm through
+its own memory cache across sweeps and its own disk tier. A *second*
+sweep over live workers therefore ships ~0 shard bytes — the
+deterministic contiguous partition hands each host the same cells
+again, its memory answers them, and no new entries exist to return.
 
 Trust model
 -----------
@@ -152,7 +148,7 @@ _LOOPBACK_PROCS: List[subprocess.Popen] = []
 _SWEEP_SEQ = 0
 
 #: Cumulative per-host topology counters for this process:
-#: ``host -> {"cells", "delta_bytes_sent", "delta_bytes_received"}``.
+#: ``host -> {"cells", "delta_bytes_received"}``.
 _HOST_TOTALS: Dict[str, Dict[str, int]] = {}
 
 
@@ -249,12 +245,12 @@ def _recv_frame(sock: socket.socket) -> Optional[Any]:
 
 
 def _local_digest_set() -> Set[str]:
-    """Every ``key_digest`` this process can already serve.
+    """Every ``key_digest`` the parent can already serve.
 
     Memory-tier keys plus the disk index's snapshot (entries the disk
-    tier holds are one counter-neutral load away, so shipping them
-    over the wire would be pure waste). Undigestible keys are simply
-    not advertised — they ride the ``extra_entries`` path instead.
+    tier holds are one counter-neutral load away, so a worker shipping
+    them back would be pure waste). Undigestible keys are simply not
+    advertised — they ride the ``extra_entries`` path instead.
     """
     digests: Set[str] = set()
     for key in _simcache.simulation_cache_keys():
@@ -308,7 +304,8 @@ def _merge_shard_payloads(
     """Decode + merge received shards; entries reached (ins + dup).
 
     A shard that fails to decode (foreign fingerprint, torn payload)
-    is dropped — warmth-only, the entry recomputes locally instead.
+    is dropped — warmth-only, the entry recomputes in the parent if it
+    is ever needed there.
     """
     entries: List[Tuple[Any, Any]] = []
     for _digest, payload in shards:
@@ -338,7 +335,7 @@ def run_worker_server(
     The body of the ``repro worker`` CLI verb. Binds (``port=0`` picks
     a free one), reports the bound address through ``ready``, then
     accepts one parent connection at a time and serves its handshake /
-    shards / run conversations. The worker uses its *own* cache
+    run conversations. The worker uses its *own* cache
     configuration (its ``--cache-dir`` / ``REPRO_CACHE_DIR``); parents
     never reach into it beyond shipping deltas. Nested sweeps inside
     cell tasks degrade to serial exactly as in fork pool workers.
@@ -373,7 +370,7 @@ def run_worker_server(
 def _serve_connection(
     sock: socket.socket, stop_event: Optional[threading.Event]
 ) -> None:
-    """One parent's conversation: sync/shards/run frames until EOF."""
+    """One parent's conversation: sync/run frames until EOF."""
     while True:
         if stop_event is not None and stop_event.is_set():
             return
@@ -387,17 +384,7 @@ def _serve_connection(
         if kind == "sync":
             _, seq, generation = message
             _simcache.sync_simulation_cache_generation(generation)
-            _send_frame(
-                sock,
-                ("state", seq, schema_fingerprint(), _local_digest_set()),
-            )
-        elif kind == "shards":
-            _, seq, groups = message
-            flattened: List[Tuple[str, bytes]] = []
-            for _prefix, payloads in groups:
-                flattened.extend(payloads)
-            reached = _merge_shard_payloads(flattened, [])
-            _send_frame(sock, ("shards-ok", seq, reached))
+            _send_frame(sock, ("state", seq, schema_fingerprint()))
         elif kind == "run":
             _handle_run(sock, message, stop_event)
         elif kind == "stop":
@@ -422,28 +409,10 @@ def _handle_run(
     stop_event: Optional[threading.Event],
 ) -> None:
     """Run one contiguous partition, streaming a chunk per cell."""
-    _, seq, fn, cells, deadline_s, parent_digests, prefetch = message
+    _, seq, fn, cells, deadline_s, parent_digests = message
     deadline = (
         None if deadline_s is None else time.monotonic() + deadline_s
     )
-    cancel = threading.Event()
-    if (
-        prefetch
-        and _simcache.simulation_cache_dir() is not None
-        and _parallel.prefetch_enabled()
-    ):
-        def _should_stop() -> bool:
-            return cancel.is_set() or (
-                deadline is not None and time.monotonic() >= deadline
-            )
-
-        threading.Thread(
-            target=_simcache.prefetch_simulation_keys,
-            args=(list(prefetch),),
-            kwargs={"should_stop": _should_stop},
-            name="repro-remote-prefetch",
-            daemon=True,
-        ).start()
     completed = 0
     try:
         for index, item in cells:
@@ -487,7 +456,6 @@ def _handle_run(
             )
             completed += 1
     finally:
-        cancel.set()
         try:
             _send_frame(sock, ("done", seq, completed))
         except OSError:  # pragma: no cover - parent went away mid-run
@@ -714,15 +682,11 @@ atexit.register(shutdown_remote_workers)
 # Topology accounting
 
 
-def _note_host_totals(
-    host: str, cells: int = 0, sent: int = 0, received: int = 0
-) -> None:
+def _note_host_totals(host: str, cells: int = 0, received: int = 0) -> None:
     totals = _HOST_TOTALS.setdefault(
-        host,
-        {"cells": 0, "delta_bytes_sent": 0, "delta_bytes_received": 0},
+        host, {"cells": 0, "delta_bytes_received": 0}
     )
     totals["cells"] += cells
-    totals["delta_bytes_sent"] += sent
     totals["delta_bytes_received"] += received
 
 
@@ -736,7 +700,9 @@ def executor_topology() -> Dict[str, Any]:
 
     ``backend`` reflects what the *next* sweep would use (socket when
     hosts are configured, fork otherwise); the per-host counters are
-    cumulative over this process's socket sweeps.
+    cumulative over this process's socket sweeps. ``delta_bytes_sent``
+    is always 0 — the parent ships workers no cache entries — and
+    stays so the report keeps its shape.
     """
     hosts = active_sweep_hosts()
     per_host = {h: dict(t) for h, t in sorted(_HOST_TOTALS.items())}
@@ -744,9 +710,7 @@ def executor_topology() -> Dict[str, Any]:
         "backend": "socket" if hosts else "fork",
         "hosts": list(hosts),
         "host_cells": {h: t["cells"] for h, t in per_host.items()},
-        "delta_bytes_sent": sum(
-            t["delta_bytes_sent"] for t in per_host.values()
-        ),
+        "delta_bytes_sent": 0,
         "delta_bytes_received": sum(
             t["delta_bytes_received"] for t in per_host.values()
         ),
@@ -762,10 +726,7 @@ def remote_stream(
     items: Sequence[Any],
     hosts: Sequence[str],
     progress: Optional[Callable[[int, int], None]] = None,
-    warm_prefix: Optional[Tuple[Any, ...]] = None,
-    warm_budget: Optional[int] = None,
     deadline: Optional[float] = None,
-    prefetch_keys: Optional[Sequence[Any]] = None,
 ) -> Iterator[Tuple[int, Any]]:
     """The socket-backend streaming loop (see the module docstring).
 
@@ -786,7 +747,7 @@ def remote_stream(
     generation = _simcache.simulation_cache_generation()
     cache_dir = _simcache.simulation_cache_dir()
 
-    # -- handshake: collect every live worker's digest set ----------------
+    # -- handshake: every live worker must run the same schema ------------
     conns = pool.live_conns()
     awaiting = []
     for conn in conns:
@@ -794,17 +755,17 @@ def remote_stream(
             awaiting.append(conn)
         else:
             conn.alive = False
-    states: Dict[_RemoteConnection, Set[str]] = {}
+    ready: Set[_RemoteConnection] = set()
     sync_deadline = time.monotonic() + _SYNC_TIMEOUT_S
-    while len(states) < len(awaiting) and time.monotonic() < sync_deadline:
-        remaining = [c for c in awaiting if c not in states and c.alive]
+    while len(ready) < len(awaiting) and time.monotonic() < sync_deadline:
+        remaining = [c for c in awaiting if c not in ready and c.alive]
         if not remaining:
             break
         try:
             conn, message = pool.events.get(timeout=_POLL_S)
         except queue.Empty:
             continue
-        if conn not in awaiting or conn in states:
+        if conn not in awaiting or conn in ready:
             continue
         kind = message[0]
         if kind == "lost":
@@ -818,43 +779,13 @@ def remote_stream(
                     f"{schema_fingerprint()!r}); deploy the same wheel "
                     "on every host"
                 )
-            states[conn] = set(message[3])
-    conns = [conn for conn in awaiting if conn in states and conn.alive]
+            ready.add(conn)
+    conns = [conn for conn in awaiting if conn in ready and conn.alive]
     if not conns:
         raise ConfigurationError(
             "no live sweep workers among configured hosts "
             f"{tuple(pool.hosts)!r}"
         )
-
-    # -- warm-start broadcast as hash-sharded deltas -----------------------
-    bytes_sent = 0
-    shard_workers = 0
-    budget = _parallel._warm_broadcast_budget(warm_budget)
-    encoded: List[Tuple[str, bytes]] = []
-    broadcast_entries = broadcast_bytes = 0
-    if budget > 0:
-        entries, _selected = _simcache.select_simulation_cache_entries(
-            prefix=warm_prefix, max_bytes=budget
-        )
-        encoded, _extras = _shard_entries(entries, set())
-    for conn in conns:
-        missing = [
-            (digest, payload)
-            for digest, payload in encoded
-            if digest not in states[conn]
-        ]
-        if not missing:
-            continue
-        groups: Dict[str, List[Tuple[str, bytes]]] = {}
-        for digest, payload in missing:
-            groups.setdefault(digest[:2], []).append((digest, payload))
-        if conn.send(("shards", seq, sorted(groups.items()))):
-            sent = sum(len(payload) for _, payload in missing)
-            bytes_sent += sent
-            shard_workers += 1
-            broadcast_entries = max(broadcast_entries, len(missing))
-            broadcast_bytes += sent
-            _note_host_totals(conn.host, sent=sent)
 
     # -- partition and dispatch -------------------------------------------
     partitions: Dict[_RemoteConnection, List[int]] = {}
@@ -865,17 +796,10 @@ def remote_stream(
         partitions[conn] = list(range(start, start + size))
         start += size
     parent_digests = _local_digest_set()
-    keys = list(prefetch_keys) if prefetch_keys else []
     dispatch_failed: List[_RemoteConnection] = []
     for conn, part in partitions.items():
         if not part:
             continue
-        if keys and len(keys) == total:
-            part_keys = [keys[index] for index in part]
-        else:
-            # Key list not 1:1 with cells (batched payload groups):
-            # every worker prefetches the full list — warmth-only.
-            part_keys = keys
         deadline_s = (
             None
             if deadline is None
@@ -883,8 +807,7 @@ def remote_stream(
         )
         cells = [(index, items[index]) for index in part]
         sent_ok = conn.send(
-            ("run", seq, fn, cells, deadline_s, set(parent_digests),
-             part_keys)
+            ("run", seq, fn, cells, deadline_s, set(parent_digests))
         )
         if not sent_ok:
             conn.alive = False
@@ -1072,14 +995,10 @@ def remote_stream(
             worker_misses=misses, worker_disk_hits=disk_hits,
             pool_reused=pre_existing, completed=len(received),
             cancelled=failure is None and len(received) < total,
-            broadcast_entries=broadcast_entries,
-            broadcast_bytes=broadcast_bytes,
-            broadcast_workers=shard_workers,
             redispatched_cells=redispatched,
             backend="socket",
             hosts=tuple(conn.host for conn in conns),
             host_cells=tuple(sorted(host_cells.items())),
-            delta_bytes_sent=bytes_sent,
             delta_bytes_received=bytes_received,
         )
     if failure is not None:

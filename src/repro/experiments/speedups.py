@@ -181,9 +181,6 @@ def speedup_spec(
         reduce=reduce,
         rows=speedup_rows,
         format_result=format_result,
-        # Every cell simulates on this system: the warm-start broadcast
-        # ships only the parent entries keyed by it.
-        warm_prefix=(system,),
         batchable=batchable(_speedup_cell_sims),
     )
 

@@ -175,32 +175,6 @@ def _run_batched_group(payload):
     return [task(cell) for cell in chunk]
 
 
-def _prefetch_key_list(
-    sims_per_cell: List[Tuple[Tuple[Any, Any, int], ...]]
-) -> List[Any]:
-    """Deduped ``simulation_key``s of a grid's simulations, dispatch order.
-
-    Feeds :func:`repro.experiments.parallel.stream_map`'s pipelined
-    prefetch broadcast: each ``(system, timing, tiles)`` triple a
-    batchable spec declares maps to the exact cache key its cell will
-    look up (``tile_stream_key``), so workers can warm those entries
-    from the disk tier ahead of the task that needs them. Order follows
-    the grid so the prefix a worker warms synchronously matches the
-    first cells dispatched.
-    """
-    from repro.sim.pipeline import tile_stream_key
-
-    keys: List[Any] = []
-    seen: set = set()
-    for sims in sims_per_cell:
-        for system, timing, tiles in sims:
-            key = tile_stream_key(system, timing, tiles)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    return keys
-
-
 def _default_rows(cell: CellResult) -> Iterable[Dict[str, Any]]:
     """One flat dict per cell: axis labels + the result's scalar fields."""
     row = cell.coord_labels()
@@ -246,11 +220,6 @@ class SweepSpec:
     reduce: Optional[Callable[[List[Any]], Any]] = None
     rows: Optional[Callable[[CellResult], Iterable[Dict[str, Any]]]] = None
     format_result: Optional[Callable[[Any], str]] = None
-    #: ``simulation_key`` prefix naming which parent cache entries are
-    #: relevant to this sweep (e.g. ``(system,)``) — drives the
-    #: warm-start broadcast to persistent workers; ``None`` ships the
-    #: most-recently-used entries regardless of key.
-    warm_prefix: Optional[Tuple[Any, ...]] = None
     #: Cell → simulations mapping (see :func:`batchable`); ``None``
     #: means the spec always runs per cell.
     batchable: Optional[BatchRule] = None
@@ -355,18 +324,9 @@ class SweepSpec:
                 deadline=deadline,
             )
             return
-        # Even when batching is off, a batchable annotation still tells
-        # us which simulation keys the cells are about to look up — the
-        # pipelined prefetch broadcast warms workers from the disk tier
-        # ahead of them (a no-op without a disk tier or under
-        # REPRO_NO_PREFETCH).
-        prefetch = (
-            _prefetch_key_list(sims_per_cell) if sims_per_cell else None
-        )
         for index, value in stream_map(
             self.task, cells, jobs=jobs, progress=progress,
-            warm_prefix=self.warm_prefix, deadline=deadline,
-            prefetch_keys=prefetch,
+            deadline=deadline,
         ):
             yield CellResult(index=index, coords=coords[index], value=value)
 
@@ -401,7 +361,7 @@ class SweepSpec:
                 simulate_tile_stream_batch(flat, resolve_cached=False)
             for index, value in stream_map(
                 self.task, cells, jobs=1, progress=progress,
-                warm_prefix=self.warm_prefix, deadline=deadline,
+                deadline=deadline,
             ):
                 yield CellResult(
                     index=index, coords=coords[index], value=value
@@ -424,9 +384,7 @@ class SweepSpec:
             start += size
         completed = 0
         for chunk_index, values in stream_map(
-            _run_batched_group, payloads, jobs=n_jobs,
-            warm_prefix=self.warm_prefix, deadline=deadline,
-            prefetch_keys=_prefetch_key_list(sims_per_cell),
+            _run_batched_group, payloads, jobs=n_jobs, deadline=deadline,
         ):
             base = starts[chunk_index]
             for offset, value in enumerate(values):
@@ -500,12 +458,10 @@ class CompositeSweep:
 
     The sub-specs execute back-to-back in declaration order through one
     invocation: they share the persistent worker pool, the simulation
-    cache (worker deltas merged after each cell, warm entries broadcast
-    back out at each sub-sweep's dispatch — each with its own
-    ``warm_prefix``), and the output stream. Cells are re-indexed
-    globally and their coordinates gain a ``"spec"`` axis naming the
-    sub-sweep, so emitted rows from different sections stay
-    distinguishable in one JSONL/CSV file.
+    cache (worker deltas merged after each cell), and the output
+    stream. Cells are re-indexed globally and their coordinates gain a
+    ``"spec"`` axis naming the sub-sweep, so emitted rows from
+    different sections stay distinguishable in one JSONL/CSV file.
 
     Duck-types the :class:`SweepSpec` surface the CLI and
     :func:`stream_to_emitter` use (``stream`` / ``rows_for`` /
@@ -514,8 +470,7 @@ class CompositeSweep:
 
     After a run, :attr:`executions` holds one ``(spec_name,
     SweepExecution)`` pair per sub-sweep — the cache-traffic evidence
-    (worker hits vs misses, broadcast sizes) the warm-worker benchmark
-    anchors read.
+    (worker hits vs misses) of each section.
     """
 
     def __init__(

@@ -62,7 +62,6 @@ duplicate is dropped.
 from __future__ import annotations
 
 import enum
-import pickle
 import threading
 import weakref
 from collections import OrderedDict
@@ -239,6 +238,9 @@ class SimulationCache:
         self._misses = 0
         self._disk_hits = 0
         self._disk = disk
+        # Resident keys that were promoted from the disk tier rather
+        # than computed here (see new_entries).
+        self._from_disk: "set[Hashable]" = set()
         # Bumped on clear(); lets long-lived worker processes detect that
         # the parent reset its cache and drop their own copies in sync
         # (see repro.experiments.parallel).
@@ -270,6 +272,7 @@ class SimulationCache:
         with self._lock:
             if self._generation != generation:
                 self._entries.clear()
+                self._from_disk.clear()
                 self._hits = 0
                 self._misses = 0
                 self._disk_hits = 0
@@ -278,7 +281,8 @@ class SimulationCache:
     def _evict_over_capacity(self) -> None:
         # Caller holds the lock.
         while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+            key, _ = self._entries.popitem(last=False)
+            self._from_disk.discard(key)
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The value for ``key``: memory, else disk, else computed."""
@@ -301,6 +305,7 @@ class SimulationCache:
                     if key not in self._entries:
                         self._disk_hits += 1
                         self._entries[key] = value
+                        self._from_disk.add(key)
                         self._evict_over_capacity()
                     else:
                         self._hits += 1
@@ -342,8 +347,8 @@ class SimulationCache:
     def prefetch(self, key: Hashable) -> bool:
         """Warm ``key`` from the disk tier without moving any counter.
 
-        The pipelined-prefetch seam: a background thread calls this for
-        keys a sweep is *about* to need, so the later
+        The serve daemon's ``--preload`` seam: it calls this for keys
+        its sweeps are *about* to need, so the later
         :meth:`get_or_compute` lands as a plain memory hit. Counter
         neutrality is the contract — the prefetched entry must be
         indistinguishable from one that was already resident, so
@@ -365,6 +370,7 @@ class SimulationCache:
             if key in self._entries:
                 return False
             self._entries[key] = value
+            self._from_disk.add(key)
             self._evict_over_capacity()
             return True
 
@@ -405,43 +411,22 @@ class SimulationCache:
         with self._lock:
             return list(self._entries.items())
 
-    def select_entries(
-        self,
-        prefix: Optional[Tuple[Any, ...]] = None,
-        max_bytes: Optional[int] = None,
-    ) -> Tuple[List[Tuple[Hashable, Any]], int]:
-        """Entries matching a key prefix, most-recently-used first, bounded.
+    def new_entries(
+        self, baseline: "set[Hashable]"
+    ) -> List[Tuple[Hashable, Any]]:
+        """Resident entries outside ``baseline`` that were not disk loads.
 
-        ``prefix`` filters on the leading components of the cache key
-        (``simulation_key`` is ``(system, timing_key, tiles, extra)``,
-        so ``(system,)`` selects every entry simulated on that system);
-        ``None`` matches everything. ``max_bytes`` caps the *pickled*
-        size of the selection: entries are taken MRU-first, and one
-        that would overflow the remaining budget is skipped — not a
-        stop, so a single oversized entry cannot starve the smaller
-        ones behind it. Returns ``(entries, total_bytes)``. This is
-        the selection behind the parallel executor's warm-start
-        broadcast to persistent workers.
+        A pool worker's per-cell cache delta: ``baseline`` is the key
+        set at cell start, and entries the cell promoted from the disk
+        tier are skipped — the parent shares that directory, so
+        shipping them back would only re-send what it can already load.
         """
         with self._lock:
-            candidates = list(reversed(self._entries.items()))
-        selected: List[Tuple[Hashable, Any]] = []
-        total = 0
-        for key, value in candidates:
-            if prefix is not None:
-                if not isinstance(key, tuple) or len(key) < len(prefix):
-                    continue
-                if any(key[i] != prefix[i] for i in range(len(prefix))):
-                    continue
-            if max_bytes is not None:
-                size = len(
-                    pickle.dumps((key, value), pickle.HIGHEST_PROTOCOL)
-                )
-                if total + size > max_bytes:
-                    continue
-                total += size
-            selected.append((key, value))
-        return selected, total
+            return [
+                (key, value)
+                for key, value in self._entries.items()
+                if key not in baseline and key not in self._from_disk
+            ]
 
     def keys(self) -> "set[Hashable]":
         """The current key set (a copy)."""
@@ -502,6 +487,7 @@ class SimulationCache:
         """
         with self._lock:
             self._entries.clear()
+            self._from_disk.clear()
             self._hits = 0
             self._misses = 0
             self._disk_hits = 0
@@ -583,9 +569,9 @@ def prefetch_simulation_keys(
 
     Counter-neutral (see :meth:`SimulationCache.prefetch`): the later
     real lookups account for themselves as ordinary memory hits.
-    ``should_stop`` is polled between keys so a cancelled or expired
-    sweep stops prefetching within one entry. Returns how many entries
-    were newly promoted into memory.
+    ``should_stop`` is polled between keys so a draining caller (the
+    serve daemon's ``--preload``) stops prefetching within one entry.
+    Returns how many entries were newly promoted into memory.
     """
     warmed = 0
     for key in keys:
@@ -626,19 +612,15 @@ def simulation_cache_keys() -> "set[Hashable]":
     return _GLOBAL_CACHE.keys()
 
 
-def select_simulation_cache_entries(
-    prefix: Optional[Tuple[Any, ...]] = None,
-    max_bytes: Optional[int] = None,
-) -> Tuple[List[Tuple[Hashable, Any]], int]:
-    """Process-wide cache entries for a warm-start broadcast.
+def new_simulation_cache_entries(
+    baseline: "set[Hashable]",
+) -> List[Tuple[Hashable, Any]]:
+    """Process-wide entries computed since ``baseline`` was taken.
 
-    MRU-first, filtered by a ``simulation_key`` prefix (e.g.
-    ``(system,)``) and capped by ``max_bytes`` of pickled payload; see
-    :meth:`SimulationCache.select_entries`. Used by
-    :mod:`repro.experiments.parallel` to ship the parent's warm entries
-    to persistent pool workers at sweep dispatch time.
+    See :meth:`SimulationCache.new_entries`: disk-tier loads are left
+    out, so a fork pool worker's cell delta carries only fresh work.
     """
-    return _GLOBAL_CACHE.select_entries(prefix=prefix, max_bytes=max_bytes)
+    return _GLOBAL_CACHE.new_entries(baseline)
 
 
 def merge_simulation_cache(

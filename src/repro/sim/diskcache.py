@@ -132,7 +132,7 @@ PACK_MIN_ENTRIES = 8
 
 #: Environment escape hatch: any value other than empty or ``"0"``
 #: routes every delta commit through the per-entry path (mirrors
-#: ``REPRO_NO_BATCH`` / ``REPRO_NO_PREFETCH``).
+#: ``REPRO_NO_BATCH``).
 PACK_DISABLE_ENV = "REPRO_NO_PACK"
 
 

@@ -12,6 +12,28 @@ import pytest
 from repro.core.schemes import parse_scheme
 from repro.sim.system import ddr_system, hbm_system
 
+#: Wall-clock budget of one test's call phase (seconds). No test may
+#: pass by sleeping into a timeout: one that runs past this fails even
+#: if its assertions hold, naming the budget.
+TEST_TIME_BUDGET_S = 30.0
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    report = outcome.get_result()
+    if (
+        report.when == "call"
+        and report.passed
+        and report.duration > TEST_TIME_BUDGET_S
+    ):
+        report.outcome = "failed"
+        report.longrepr = (
+            f"{item.nodeid} took {report.duration:.1f} s, over the "
+            f"{TEST_TIME_BUDGET_S:.0f} s per-test time budget "
+            "(TEST_TIME_BUDGET_S in tests/conftest.py)"
+        )
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

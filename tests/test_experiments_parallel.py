@@ -231,27 +231,87 @@ class TestDiskTierIntegration:
             stats = simulation_cache_stats()
             assert warm == cold
             assert execution.worker_misses == 0
-            # Every lookup is served from the disk tier — either as a
-            # lazy per-touch disk hit or, with the pipelined prefetch
-            # having warmed the worker LRU first, as a memory hit of a
-            # prefetched entry. Nothing recomputes either way.
+            # Every lookup is served from the disk tier — a lazy
+            # per-touch disk hit in the worker (or a memory hit when an
+            # earlier cell of the same worker already loaded it).
+            # Nothing recomputes.
             assert execution.worker_hits + execution.worker_disk_hits == 4
-            # Prefetched entries are resident before each cell's
-            # baseline snapshot, so workers no longer re-ship entries
-            # the parent already holds on disk — the delta payload of a
-            # fully warm replay is empty.
+            # Workers leave their disk-tier loads out of the cell delta
+            # (the parent runs on the same directory), so a fully warm
+            # replay ships no entries back.
             assert execution.merged_entries == 0
             assert stats.misses == 0
             assert stats.hit_rate == 1.0
-            # The grid is batchable, so the sweep shipped its keys and
-            # the workers confirmed the prefetch (the broadcast covers
-            # the whole pool, which may be wider than this sweep).
-            assert execution.prefetch_keys == 4
-            assert execution.prefetch_workers >= execution.jobs
-            assert execution.prefetched_entries >= 4
         finally:
             configure_simulation_cache_dir(None)
             clear_simulation_cache()
+
+
+def _parent_only_entries(system, sizes):
+    """Simulate in the parent, where no pool worker sees the entries."""
+    for size in sizes:
+        timing = KernelTiming(bytes_per_tile=float(size), dec_cycles=20.0)
+        simulate_tile_stream(system, timing)
+
+
+class TestWorkerWarmth:
+    """Workers stay warm through fork inheritance, never a dispatch push.
+
+    Warmth moves only hit counters: the results are the serial ones
+    whether a worker inherited, recomputed, or loaded an entry.
+    """
+
+    def test_fresh_pool_inherits_parent_entries(self, hbm):
+        clear_simulation_cache()
+        shutdown_worker_pool()
+        _parent_only_entries(hbm, (111.0, 222.0))
+        tasks = [(hbm, 111.0), (hbm, 222.0)]
+        results = parallel_map(_simulate_item, tasks, jobs=2)
+        execution = last_sweep_execution()
+        # Freshly forked workers inherited the parent cache through
+        # fork, so the entries hit in the workers.
+        assert not execution.pool_reused
+        assert execution.worker_hits == len(tasks)
+        assert results == [_simulate_item(task) for task in tasks]
+
+    def test_reused_pool_recomputes_parent_only_entries(self, hbm):
+        clear_simulation_cache()
+        shutdown_worker_pool()
+        parallel_map(_identity, [1, 2, 3, 4], jobs=2)
+        sizes = (150.0, 250.0, 350.0)
+        _parent_only_entries(hbm, sizes)
+        tasks = [(hbm, size) for size in sizes]
+        results = parallel_map(_simulate_item, tasks, jobs=2)
+        execution = last_sweep_execution()
+        assert execution.pool_reused
+        # The persistent workers forked before these entries existed
+        # and there is no disk tier, so every cell computes...
+        assert execution.worker_hits == 0
+        assert execution.worker_misses == len(sizes)
+        # ...but the results are the parent's own, bit-for-bit.
+        assert results == [_simulate_item(task) for task in tasks]
+
+    def test_warmth_changes_only_hit_counters(self, hbm):
+        # The same sweep on a pool forked after the parent computed the
+        # entries (inherited) and on one forked before (recomputed):
+        # results and cache contents agree; only the hit/miss split
+        # differs.
+        tasks = [(hbm, 175.0), (hbm, 275.0)]
+        clear_simulation_cache()
+        shutdown_worker_pool()
+        _parent_only_entries(hbm, (175.0, 275.0))
+        inherited = parallel_map(_simulate_item, tasks, jobs=2)
+        stats_inherited = simulation_cache_stats()
+        clear_simulation_cache()
+        shutdown_worker_pool()
+        parallel_map(_identity, [1, 2], jobs=2)
+        _parent_only_entries(hbm, (175.0, 275.0))
+        recomputed = parallel_map(_simulate_item, tasks, jobs=2)
+        stats_recomputed = simulation_cache_stats()
+        shutdown_worker_pool()
+        assert inherited == recomputed
+        assert stats_inherited.size == stats_recomputed.size
+        assert stats_inherited.hits != stats_recomputed.hits
 
 
 class TestDegradation:

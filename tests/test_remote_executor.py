@@ -6,8 +6,8 @@ dispatch contiguous cell partitions to socket workers and stream
 ``(index, result, cache delta)`` chunks back through the same
 incremental-merge path as the fork pool. The backend never changes
 results: every scenario is bit-identical to the serial and fork runs.
-Cache state crosses the wire as hash-sharded packed deltas deduped
-against the other side's digest set, a dead host's unfinished cells
+Worker cache deltas cross the wire as hash-sharded packed entries
+deduped against the parent's digest set, a dead host's unfinished cells
 are recomputed in-parent, and ``shutdown_worker_pool`` reaps the
 loopback subprocesses.
 """
@@ -170,9 +170,9 @@ class TestDeltaDedup:
         cold_rows = sum(1 for _ in spec.stream(jobs=1, batch=False))
         cold = last_sweep_execution()
         assert cold.delta_bytes_received > 0
-        # First replay cross-fills each host with the other partition's
-        # entries via the warm broadcast (each host computed only its
-        # own half cold).
+        # A replay on the same hosts: the deterministic contiguous
+        # partition hands each host the same half it computed cold, so
+        # its memory already answers every cell.
         sum(1 for _ in spec.stream(jobs=1, batch=False))
         # On converged hosts, digest dedup leaves nothing to ship in
         # either direction and every lookup is a worker memory hit.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.sim.cache import (
     configure_simulation_cache_dir,
     simulation_cache_disk,
 )
+from repro.sim.pipeline import KernelTiming, simulate_tile_stream
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the fork start method"
@@ -41,6 +43,13 @@ pytestmark = pytest.mark.skipif(
 #: Tight recovery grace so fault tests run in seconds, not the 5 s
 #: production default.
 FAST_GRACE = {"REPRO_WORKER_LOSS_GRACE_S": "0.4"}
+
+
+def _steady_interval(task):
+    """Module-level simulating cell so pool workers can unpickle it."""
+    system, bytes_per_tile = task
+    timing = KernelTiming(bytes_per_tile=bytes_per_tile, dec_cycles=20.0)
+    return simulate_tile_stream(system, timing).steady_interval_cycles
 
 
 @pytest.fixture
@@ -97,6 +106,38 @@ class TestWorkerLossExecutor:
         assert [r["cell"] for r in results] == list(range(4))
         assert victim in before
         shutdown_worker_pool()
+
+    def test_idle_kill_with_warm_parent_cache_recovers_in_seconds(
+        self, fast_recovery, kill_pool_worker, hbm
+    ):
+        """A worker killed while idle costs the next sweep seconds.
+
+        The ordering that once stalled a sweep for ~124 s: the parent
+        cache holds entries, a 2-worker sweep leaves the pool idle, an
+        idle worker is SIGKILLed (which can wedge the pool's shared task
+        queue — it may die holding the queue's reader lock), and the
+        next sweep reuses the pool. Any pool task the parent waits on
+        before dispatching cells may then never arrive; the sweep must
+        instead go straight to its cells and let worker-loss recovery
+        recompute any it loses in-parent.
+        """
+        clear_simulation_cache()
+        shutdown_worker_pool()
+        tasks = [(hbm, float(size)) for size in (120, 220, 320, 420)]
+        # Computing the expected rows in the parent seeds its cache.
+        expected = [_steady_interval(task) for task in tasks]
+        try:
+            parallel_map(_synthetic_cell, [(0, 0.0), (1, 0.0)], jobs=2)
+            kill_pool_worker()
+            start = time.monotonic()
+            results = parallel_map(_steady_interval, tasks, jobs=2)
+            elapsed = time.monotonic() - start
+        finally:
+            shutdown_worker_pool()
+            clear_simulation_cache()
+        assert results == expected
+        assert last_sweep_execution().completed == len(tasks)
+        assert elapsed < 15.0, f"sweep after an idle kill took {elapsed:.1f} s"
 
     def test_suspect_shutdown_survives_result_lock_holder(self):
         """Tearing down a suspect pool can't hang on the result queue.
