@@ -212,21 +212,6 @@ RATIO_FLOORS = {
         "reclaimed_fraction", 0.5,
         "cancelling a sweep no longer stops its pool dispatch",
     ),
-    # A 48-entry cache delta must group-commit as one pack meaningfully
-    # faster than 48 tmp+rename round-trips (recorded >=3x; the floor
-    # leaves jitter headroom while still catching the packed path
-    # silently degrading to the per-entry loop).
-    "disk_delta_commit": (
-        "delta_commit_speedup", 2.0,
-        "packed delta commits have degraded toward per-entry writes",
-    ),
-    # Probing a warm directory through the persistent index must beat
-    # re-stat-ing the store; below this the attach path has quietly gone
-    # back to walking the directory.
-    "disk_index_attach": (
-        "index_attach_speedup", 1.5,
-        "index-backed containment probes no longer beat the stat walk",
-    ),
 }
 
 

@@ -129,8 +129,6 @@ KNOWN_BENCHMARKS = (
     "figure12_batched",
     "grid_batched_48",
     "dse_warm_cache",
-    "disk_delta_commit",
-    "disk_index_attach",
     "serve_coalesced_8x",
     "serve_cancel_reclaim",
     "remote_dispatch_overhead",
@@ -554,122 +552,6 @@ def run_benchmarks(
         finally:
             configure_simulation_cache_dir(None)
             shutil.rmtree(cache_root, ignore_errors=True)
-
-    # --- disk tier v2: packed group commit vs per-entry writes ---------
-    if want("disk_delta_commit"):
-        import shutil
-        import tempfile
-
-        from repro.sim.cache import results_bit_equal
-        from repro.sim.diskcache import DiskCache
-        from repro.sim.pipeline import tile_stream_key
-
-        delta_n = 16 if smoke else 48
-        delta_tiles = 64
-        delta_timings = [
-            KernelTiming(bytes_per_tile=100.0 + i, dec_cycles=20.0)
-            for i in range(delta_n)
-        ]
-        delta_entries = [
-            (
-                tile_stream_key(system, timing, delta_tiles),
-                simulate_tile_stream(
-                    system, timing, delta_tiles, use_cache=False
-                ),
-            )
-            for timing in delta_timings
-        ]
-        delta_box = tempfile.mkdtemp(prefix="repro-bench-delta-")
-        delta_seq = [0]
-
-        def delta_fresh() -> DiskCache:
-            # A fresh directory per timed call: the store skips entries
-            # it already holds, so re-committing into one directory
-            # would time the skip probe, not the commit.
-            delta_seq[0] += 1
-            return DiskCache(os.path.join(delta_box, str(delta_seq[0])))
-
-        def delta_per_entry():
-            disk = delta_fresh()
-            for key, value in delta_entries:
-                disk.store(key, value)
-
-        def delta_packed():
-            disk = delta_fresh()
-            disk.store_batch(delta_entries)
-
-        try:
-            reps = reps_for(max(repeats // 2, 5))
-            before = best_of(delta_per_entry, reps)
-            after = best_of(delta_packed, reps)
-            # Cross-format bit-identity is the non-negotiable contract;
-            # keep the anchor itself honest about it.
-            check = DiskCache(os.path.join(delta_box, str(delta_seq[0])))
-            key, value = delta_entries[-1]
-            assert results_bit_equal(check.load(key), value), (
-                "packed entry read back differently from its loose twin"
-            )
-        finally:
-            shutil.rmtree(delta_box, ignore_errors=True)
-        results["disk_delta_commit"] = {
-            "after_s": after,
-            "per_entry_s": before,
-            "delta_commit_speedup": before / after,
-            "entries": float(delta_n),
-        }
-
-    # --- disk tier v2: index attach + probe vs per-entry stat walk -----
-    if want("disk_index_attach"):
-        import shutil
-        import tempfile
-
-        from repro.sim.diskcache import DiskCache, key_digest
-
-        probe_n = 64 if smoke else 256
-        probe_box = tempfile.mkdtemp(prefix="repro-bench-index-")
-        probe_keys = [("bench-index-probe", i) for i in range(probe_n)]
-        probe_value = simulate_tile_stream(
-            system,
-            KernelTiming(bytes_per_tile=300.0, dec_cycles=20.0),
-            64,
-            use_cache=False,
-        )
-        try:
-            seed_cache = DiskCache(probe_box)
-            # Loose one-file-per-entry layout: exactly what the
-            # pre-index attach had to stat its way through.
-            for key in probe_keys:
-                seed_cache.store(key, probe_value)
-            schema_dir = seed_cache.entry_path(probe_keys[0]).parent.parent
-
-            def index_attach_probe():
-                # Warm attach: one manifest read, then in-memory
-                # membership answers.
-                cache = DiskCache(probe_box)
-                for key in probe_keys:
-                    assert cache.contains(key)
-
-            def stat_walk_probe():
-                # The pre-index protocol: enumerate the shard dirs for
-                # the entry count, then stat each probed entry's file.
-                count = sum(1 for _ in schema_dir.glob("*/*.pkl"))
-                assert count == len(probe_keys)
-                for key in probe_keys:
-                    digest = key_digest(key)
-                    path = schema_dir / digest[:2] / f"{digest}.pkl"
-                    assert path.is_file()
-
-            reps = reps_for(max(repeats // 2, 5))
-            after = best_of(index_attach_probe, reps)
-            before = best_of(stat_walk_probe, reps)
-        finally:
-            shutil.rmtree(probe_box, ignore_errors=True)
-        results["disk_index_attach"] = {
-            "after_s": after,
-            "stat_walk_s": before,
-            "index_attach_speedup": before / after,
-            "entries": float(probe_n),
-        }
 
     # --- serve daemon: coalesced concurrent clients vs serial colds ----
     if want("serve_coalesced_8x"):

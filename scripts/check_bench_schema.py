@@ -55,12 +55,6 @@ ANCHOR_REQUIRED_FIELDS: Dict[str, "tuple[str, ...]"] = {
     "serve_cancel_reclaim": (
         "full_s", "reclaimed_fraction", "cells",
     ),
-    "disk_delta_commit": (
-        "per_entry_s", "delta_commit_speedup", "entries",
-    ),
-    "disk_index_attach": (
-        "stat_walk_s", "index_attach_speedup", "entries",
-    ),
     "remote_dispatch_overhead": (
         "fork_s", "dispatch_overhead_ratio", "cells",
     ),

@@ -432,17 +432,9 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(_json.dumps(snapshot, indent=2, sort_keys=True))
         return 0
-    entries = snapshot["loose_entries"] + snapshot["packed_entries"]
-    print(f"{snapshot['root']}: {entries} entries, "
+    print(f"{snapshot['root']}: {snapshot['entries']} entries, "
           f"{snapshot['total_bytes']} bytes")
     print(f"  schema generation: {snapshot['schema_dir']}")
-    print(f"  loose entries: {snapshot['loose_entries']} "
-          f"({snapshot['loose_bytes']} bytes)")
-    print(f"  packed entries: {snapshot['packed_entries']} in "
-          f"{snapshot['pack_files']} pack(s) "
-          f"({snapshot['pack_bytes']} bytes)")
-    print(f"  index: {snapshot['index_entries']} entries "
-          f"({snapshot['index_bytes']} bytes)")
     return 0
 
 
@@ -844,8 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune.set_defaults(func=_cmd_cache)
     p_stats = cache_sub.add_parser(
         "stats",
-        help="print a cache directory's on-disk shape (loose/packed "
-             "entry counts, pack and index sizes, total bytes)",
+        help="print a cache directory's on-disk shape (entry count "
+             "and total bytes of the current schema generation)",
     )
     p_stats.add_argument(
         "--cache-dir", default=None, metavar="PATH",

@@ -89,7 +89,7 @@ When worker hosts are configured (``--hosts`` on the sweep CLIs, the
 contiguous cell partitions go to N ``repro worker`` processes over
 length-prefixed frames, chunks stream back through this module's same
 incremental-merge/index-sort path, and each worker's cache delta comes
-back as hash-sharded packed entries deduped against the parent's
+back as hash-sharded entry payloads deduped against the parent's
 digest set.
 Results are bit-identical to the serial and fork paths; host death
 recovers by in-parent recompute exactly like the fork backend's

@@ -27,11 +27,11 @@ instead of corrupting the next one. One handshake + run conversation:
   between cells, and streams back one ``("chunk", seq, index, result,
   shard_payloads, extra_entries, d_hits, d_misses, d_disk)`` per
   finished cell — the cache entries the cell added, as **hash-sharded
-  packed deltas**: each entry is the verbatim pack payload
+  deltas**: each entry is the verbatim on-disk entry payload
   (:func:`repro.sim.diskcache.encode_entry_payload`) keyed by its
   ``key_digest``, and entries whose digest is in the parent's snapshot
-  (its memory keys plus disk index) never cross the wire — then
-  ``("done", seq, completed)``. A cell exception becomes ``("error",
+  (its memory keys plus its disk tier's digests) never cross the wire
+  — then ``("done", seq, completed)``. A cell exception becomes ``("error",
   seq, traceback)`` and surfaces in the parent as
   :class:`repro.errors.RemoteWorkerError`.
 
@@ -247,10 +247,11 @@ def _recv_frame(sock: socket.socket) -> Optional[Any]:
 def _local_digest_set() -> Set[str]:
     """Every ``key_digest`` the parent can already serve.
 
-    Memory-tier keys plus the disk index's snapshot (entries the disk
-    tier holds are one counter-neutral load away, so a worker shipping
-    them back would be pure waste). Undigestible keys are simply not
-    advertised — they ride the ``extra_entries`` path instead.
+    Memory-tier keys plus the disk tier's stored digests (entries the
+    disk tier holds are one counter-neutral load away, so a worker
+    shipping them back would be pure waste). Undigestible keys are
+    simply not advertised — they ride the ``extra_entries`` path
+    instead.
     """
     digests: Set[str] = set()
     for key in _simcache.simulation_cache_keys():
@@ -261,7 +262,7 @@ def _local_digest_set() -> Set[str]:
     disk = _simcache.simulation_cache_disk()
     if disk is not None:
         try:
-            digests.update(disk.index.snapshot())
+            digests.update(disk.digests())
         except Exception:  # pragma: no cover - degraded disk tier
             pass
     return digests
@@ -271,7 +272,7 @@ def _shard_entries(
     entries: Sequence[Tuple[Any, Any]],
     exclude: Set[str],
 ) -> Tuple[List[Tuple[str, bytes]], List[Tuple[Any, Any]]]:
-    """Split entries into (digest, pack-payload) shards + raw extras.
+    """Split entries into (digest, entry-payload) shards + raw extras.
 
     Entries whose digest is in ``exclude`` are dropped (the other side
     already holds them); undigestible or unpicklable-as-payload keys

@@ -932,7 +932,6 @@ class ServeDaemon:
                     "skipped_stores": disk_stats.skipped_stores,
                     "errors": disk_stats.errors,
                     "pack_commits": disk_stats.pack_commits,
-                    "packed_stores": disk_stats.packed_stores,
                 }
             )
             snapshot["disk"] = storage

@@ -401,8 +401,8 @@ class SimulationCache:
                 out.append(self._entries.get(key, value))
             disk = self._disk
         if disk is not None:
-            # One group commit for the whole batch: a large delta lands
-            # as a single pack append instead of N tmp+rename cycles.
+            # One delta commit for the whole batch (one entry file per
+            # new key, written outside the memory lock).
             disk.store_batch(spill)
         return out
 

@@ -17,10 +17,16 @@ A cache directory is sharded two levels deep::
           ab3f...e1.pkl          one pickled entry
           .ab3f...e1.<pid>.tmp   in-flight write (never read)
 
-Each ``.pkl`` file is a pickle of ``{"format", "fingerprint", "key",
-"value"}``. The key is stored alongside the value and compared on load,
-so a (vanishingly unlikely) digest collision — or a corrupted file that
-still unpickles — degrades to a miss, never a wrong result.
+This is the only entry format: one entry per file, whether it arrives
+through :meth:`DiskCache.store` or as part of a sweep delta through
+:meth:`DiskCache.store_batch`. Each ``.pkl`` file holds the bytes of
+:func:`encode_entry_payload` — a pickle of ``{"format", "fingerprint",
+"key", "value"}``. The key is stored alongside the value and compared
+on load, so a (vanishingly unlikely) digest collision — or a corrupted
+file that still unpickles — degrades to a miss, never a wrong result.
+Membership is one ``stat`` of the entry path, and the set of stored
+digests is one listing of ``*/*.pkl``; there is no manifest to keep in
+step with the files.
 
 Keys are hashed with :func:`key_digest`: a canonical, process-stable
 serialization of the nested key tuple (dataclasses by qualified name
@@ -62,10 +68,11 @@ least-recently-*used* entries first. "Used" is tracked through the
 entry file's mtime — :meth:`DiskCache.load` touches the file on every
 hit (best-effort), so a warm entry that keeps serving sweeps outlives
 a colder, older one even if it was written first. Stale in-flight
-``.tmp`` files (crashed writers) and entries from *older schema
+``.tmp`` files (crashed writers), entries from *older schema
 generations* (whose directory name no longer matches the running code)
-are reclaimed as part of any prune. The CLI front doors are
-``repro cache prune`` and the ``REPRO_CACHE_MAX_BYTES`` environment
+and the ``packs/*.pack`` and ``index.repri`` files an older checkout
+left behind are reclaimed as part of any prune. The CLI front doors
+are ``repro cache prune`` and the ``REPRO_CACHE_MAX_BYTES`` environment
 variable, which bounds the directory at attach time on every cached
 invocation.
 
@@ -92,18 +99,9 @@ import time
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-
-from repro.sim.diskindex import (
-    INDEX_NAME,
-    DiskCacheIndex,
-    pack_dir,
-    read_pack_payload,
-    scan_pack,
-    write_pack,
-)
 
 #: Bump when the on-disk entry layout itself changes (the pickle payload
 #: shape, the digest algorithm, the shard scheme). Field-level changes to
@@ -123,24 +121,6 @@ MODEL_REVISION = 2
 #: every Python this package targets; pinning it keeps an entry written
 #: by a newer interpreter readable by an older one.
 _PICKLE_PROTOCOL = 4
-
-#: :meth:`DiskCache.store_batch` group-commits into a pack only when at
-#: least this many *new* entries are in the delta; smaller deltas take
-#: the per-entry path (a pack per two entries would fragment the store
-#: without amortizing anything).
-PACK_MIN_ENTRIES = 8
-
-#: Environment escape hatch: any value other than empty or ``"0"``
-#: routes every delta commit through the per-entry path (mirrors
-#: ``REPRO_NO_BATCH``).
-PACK_DISABLE_ENV = "REPRO_NO_PACK"
-
-
-def packing_enabled() -> bool:
-    """Whether delta commits may use the pack format."""
-    env = os.environ.get(PACK_DISABLE_ENV, "")
-    return not env or env == "0"
-
 
 def _update_hash(hasher: "hashlib._Hash", value: Any) -> None:
     """Feed one key component into ``hasher``, canonically.
@@ -271,12 +251,11 @@ def schema_fingerprint() -> str:
 def encode_entry_payload(key: Hashable, value: Any) -> bytes:
     """One entry serialized in the exact on-disk payload format.
 
-    These bytes are what :meth:`DiskCache.store_batch` writes into pack
-    files and what :meth:`DiskCache.store` pickles into loose ``.pkl``
-    entries — so they can travel over any transport (the socket
-    executor ships them verbatim as hash-sharded deltas) and land on a
-    remote host's disk tier without re-encoding. Raises
-    ``pickle.PicklingError`` for unpicklable values.
+    These bytes are exactly the contents of an entry's ``.pkl`` file
+    (:meth:`DiskCache.store` writes them), so they can travel over any
+    transport (the socket executor ships them verbatim as hash-sharded
+    deltas) and decode to the same ``(key, value)`` on the other side.
+    Raises ``pickle.PicklingError`` for unpicklable values.
     """
     return pickle.dumps(
         {
@@ -314,10 +293,10 @@ def decode_entry_payload(payload: bytes) -> Tuple[Hashable, Any]:
 class DiskCacheStats:
     """Counters of one :class:`DiskCache` instance (this process only).
 
-    ``stores`` counts every persisted entry regardless of route;
-    ``pack_commits`` counts group commits (one per pack file written)
-    and ``packed_stores`` the entries that travelled inside them, so
-    ``stores - packed_stores`` is the per-entry ``tmp+rename`` traffic.
+    ``stores`` counts every persisted entry, whether it came through
+    :meth:`DiskCache.store` or :meth:`DiskCache.store_batch`;
+    ``pack_commits`` counts the ``store_batch`` calls that wrote at
+    least one entry (one per committed sweep delta).
     """
 
     hits: int
@@ -326,7 +305,6 @@ class DiskCacheStats:
     stores: int
     skipped_stores: int
     pack_commits: int = 0
-    packed_stores: int = 0
 
     def since(self, before: "DiskCacheStats") -> "DiskCacheStats":
         """The counter movement between ``before`` and this snapshot
@@ -339,7 +317,6 @@ class DiskCacheStats:
             stores=self.stores - before.stores,
             skipped_stores=self.skipped_stores - before.skipped_stores,
             pack_commits=self.pack_commits - before.pack_commits,
-            packed_stores=self.packed_stores - before.packed_stores,
         )
 
 
@@ -374,12 +351,6 @@ class DiskCache:
         self._stores = 0
         self._skipped_stores = 0
         self._pack_commits = 0
-        self._packed_stores = 0
-        # The persistent manifest: loaded once here instead of stat-ing
-        # per entry, appended on store, rebuilt from a directory walk
-        # when absent or corrupt. Advisory throughout — every consumer
-        # below falls back to the directory when it disagrees.
-        self._index = DiskCacheIndex.attach(self._dir, schema_fingerprint())
 
     def _count(self, counter: str) -> None:
         with self._counter_lock:
@@ -390,63 +361,43 @@ class DiskCache:
         """The versioned directory current-generation entries live in."""
         return self._dir
 
-    @property
-    def index(self) -> DiskCacheIndex:
-        """The persistent manifest (advisory; the store is the truth)."""
-        return self._index
-
     def entry_path(self, key: Hashable) -> Path:
-        """Where ``key``'s *loose* entry lives (whether or not it exists
-        yet; the entry may instead live inside a pack — see
-        :meth:`store_batch`)."""
+        """Where ``key``'s entry lives (whether or not it exists yet)."""
         digest = key_digest(key)
         return self._dir / digest[:2] / f"{digest}.pkl"
 
     def contains(self, key: Hashable) -> bool:
-        """Whether an entry for ``key`` exists (no load, no counters).
+        """Whether an entry for ``key`` exists (one ``stat``; no load,
+        no counters).
 
-        Resolved against the in-memory index first (a dictionary probe,
-        no I/O); a negative answer re-reads the manifest tail once (a
-        concurrent process may have stored since) and finally falls
-        back to the loose-file ``stat`` the pre-index code used, so a
-        lost index record degrades to the old cost, never to a wrong
-        ``False`` for a loose entry. A stale ``True`` (e.g. a corrupt
-        file behind an index record) is harmless: the excluded cell
-        simply takes the normal per-cell lookup path, which detects the
+        A stale ``True`` (a corrupt file) is harmless: the cell simply
+        takes the normal per-cell lookup path, which detects the
         corruption and recomputes.
         """
         try:
-            digest = key_digest(key)
+            return self.entry_path(key).is_file()
         except TypeError:
             # Same contract as load(): a key the canonical serializer
             # can't digest lives memory-only.
             return False
-        return self._contains_digest(digest)
 
-    def _contains_digest(self, digest: str) -> bool:
-        if self._index.contains(digest):
-            return True
-        self._index.refresh()
-        if self._index.contains(digest):
-            return True
-        return (self._dir / digest[:2] / f"{digest}.pkl").is_file()
+    def digests(self) -> Set[str]:
+        """The key digest of every entry in the current schema
+        generation (one directory listing)."""
+        return {path.stem for path in self._dir.glob("*/*.pkl")}
 
     def load(self, key: Hashable, count: bool = True) -> Optional[Any]:
         """The stored value for ``key``, or ``None``.
 
-        Packed entries are read straight out of their pack segment (one
-        seek + read); loose entries from their ``.pkl`` file. Any
-        failure mode — missing file, truncated pickle, foreign payload,
-        key mismatch after a digest collision — is a miss; corrupt
-        loose files are removed best-effort, corrupt pack records are
-        dropped from the index, and a packed read that fails falls back
-        to the loose path before giving up. ``count=False`` performs
+        Any failure mode — missing file, truncated pickle, foreign
+        payload, key mismatch after a digest collision — is a miss, and
+        corrupt files are removed best-effort. ``count=False`` performs
         the same load without moving the hit/miss counters — the
         prefetch path, which warms entries *ahead* of lookups and must
         not make one lookup count twice.
         """
         try:
-            digest = key_digest(key)
+            path = self.entry_path(key)
         except TypeError:
             # A hashable key component the canonical serializer doesn't
             # know (possible through the public `extra` slot): such keys
@@ -454,34 +405,11 @@ class DiskCache:
             if count:
                 self._count("_misses")
             return None
-        record = self._index.get(digest)
-        if record is not None and record.packed:
-            try:
-                payload = pickle.loads(
-                    read_pack_payload(
-                        self._dir, record.pack, record.offset, record.length
-                    )
-                )
-                value = self._validate_payload(payload, key)
-            except Exception:
-                # Damaged pack region (or a pack another process
-                # compacted away): drop the record and try loose.
-                if count:
-                    self._count("_errors")
-                self._index.record_remove(digest)
-            else:
-                self._index.record_touch(digest, time.time())
-                if count:
-                    self._count("_hits")
-                return value
-        path = self._dir / digest[:2] / f"{digest}.pkl"
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            value = self._validate_payload(payload, key)
+            stored_key, value = decode_entry_payload(path.read_bytes())
+            if stored_key != key:
+                raise ValueError("entry key does not match its digest")
         except FileNotFoundError:
-            if record is not None and not record.packed:
-                self._index.record_remove(digest)  # stale manifest line
             if count:
                 self._count("_misses")
             return None
@@ -494,7 +422,6 @@ class DiskCache:
                 os.unlink(path)
             except OSError:
                 pass
-            self._index.record_remove(digest)
             return None
         try:
             # LRU bookkeeping for prune_cache_dir: a hit refreshes the
@@ -504,52 +431,30 @@ class DiskCache:
             os.utime(path, None)
         except OSError:
             pass
-        self._index.record_touch(digest, time.time())
         if count:
             self._count("_hits")
         return value
-
-    @staticmethod
-    def _validate_payload(payload: Any, key: Hashable) -> Any:
-        """The value inside one unpickled entry payload (or raise)."""
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != ENTRY_FORMAT_VERSION
-            or payload.get("fingerprint") != schema_fingerprint()
-        ):
-            raise ValueError("unrecognized entry payload")
-        if payload["key"] != key:
-            raise ValueError("entry key does not match its digest")
-        return payload["value"]
 
     def store(self, key: Hashable, value: Any) -> bool:
         """Persist ``value`` under ``key``; returns whether bytes moved.
 
         Entries are immutable (pure-function results), so an existing
-        entry — loose or packed — is left alone. The write lands in a
-        unique temp file next to its final path and is published with
-        an atomic rename, so concurrent writers and readers never
-        observe partial entries; the manifest learns about it with one
-        appended line.
+        entry is left alone. The write lands in a unique temp file next
+        to its final path and is published with an atomic rename, so
+        concurrent writers and readers never observe partial entries.
         """
         try:
-            digest = key_digest(key)
+            path = self.entry_path(key)
         except TypeError:
             # Same contract as load(): a key the canonical serializer
             # can't digest stays memory-only.
             self._count("_errors")
             return False
-        if self._contains_digest(digest):
+        if path.is_file():
             self._count("_skipped_stores")
             return False
-        path = self._dir / digest[:2] / f"{digest}.pkl"
-        payload = {
-            "format": ENTRY_FORMAT_VERSION,
-            "fingerprint": schema_fingerprint(),
-            "key": key,
-            "value": value,
-        }
         try:
+            payload = encode_entry_payload(key, value)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(
                 prefix=f".{path.stem}.{os.getpid()}.", suffix=".tmp",
@@ -557,7 +462,7 @@ class DiskCache:
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle, protocol=_PICKLE_PROTOCOL)
+                    handle.write(payload)
                 os.replace(tmp_path, path)
             except BaseException:
                 try:
@@ -570,29 +475,18 @@ class DiskCache:
             # sweep; the entry simply stays memory-only.
             self._count("_errors")
             return False
-        try:
-            stat = path.stat()
-            self._index.record_store(digest, stat.st_size, stat.st_mtime)
-        except OSError:
-            pass  # advisory — the next attach rebuilds from the walk
         self._count("_stores")
         return True
 
     def store_batch(self, items: Sequence[Tuple[Hashable, Any]]) -> int:
-        """Group-commit a delta of ``(key, value)`` pairs; entries written.
+        """Persist a delta of ``(key, value)`` pairs; entries written.
 
-        Entries already on disk (either format) are skipped exactly as
-        :meth:`store` skips them. When enough new entries remain
-        (:data:`PACK_MIN_ENTRIES`) and packing is not disabled
-        (:data:`PACK_DISABLE_ENV`), the whole delta lands as **one**
-        pack file — one buffered write, one ``fsync``, one rename, one
-        manifest append — instead of N ``tmp+rename`` round-trips.
-        Small deltas, disabled packing, or a pack-write failure fall
-        back to the per-entry path; either way the loaded-back bytes
-        are identical (the pack payload *is* the loose pickle).
+        Duplicate keys inside the delta are written once; every entry
+        then goes through :meth:`store`, so entries already on disk are
+        skipped exactly as a single store skips them.
         """
-        fresh: List[Tuple[str, Hashable, Any]] = []
-        seen: set = set()
+        written = 0
+        seen: Set[str] = set()
         for key, value in items:
             try:
                 digest = key_digest(key)
@@ -602,83 +496,33 @@ class DiskCache:
             if digest in seen:
                 continue
             seen.add(digest)
-            if self._contains_digest(digest):
-                self._count("_skipped_stores")
-                continue
-            fresh.append((digest, key, value))
-        if not fresh:
-            return 0
-        if len(fresh) < PACK_MIN_ENTRIES or not packing_enabled():
-            return sum(
-                1 for _digest, key, value in fresh if self.store(key, value)
-            )
-        try:
-            payloads = [
-                (digest, encode_entry_payload(key, value))
-                for digest, key, value in fresh
-            ]
-            pack_name, locations = write_pack(self._dir, payloads)
-        except (OSError, pickle.PicklingError):
-            # Same degradation as store(): a failed group commit must
-            # not lose the delta — retry entry by entry.
-            return sum(
-                1 for _digest, key, value in fresh if self.store(key, value)
-            )
-        self._index.record_pack(pack_name, locations, time.time())
-        with self._counter_lock:
-            self._stores += len(fresh)
-            self._packed_stores += len(fresh)
-            self._pack_commits += 1
-        return len(fresh)
+            written += self.store(key, value)
+        if written:
+            self._count("_pack_commits")
+        return written
 
     def entry_count(self) -> int:
-        """Number of complete entries in the current schema generation
-        (loose and packed; resolved through the manifest)."""
-        self._index.refresh()
-        return self._index.entry_count()
+        """Number of complete entries in the current schema generation."""
+        return sum(1 for _ in self._dir.glob("*/*.pkl"))
 
     def storage_snapshot(self) -> Dict[str, Any]:
-        """On-disk shape of the current schema generation (one walk).
+        """On-disk shape of the current schema generation (one listing).
 
         The observability surface behind ``repro cache stats`` and the
-        serve daemon's status report: loose/packed entry counts, pack
-        and index file counts and sizes, and total bytes. Counts come
-        from the directory (the truth), not the manifest — the
-        ``index_entries`` field lets the two be compared.
+        serve daemon's status report.
         """
-        self._index.refresh()
-        loose_entries = loose_bytes = 0
+        entries = total_bytes = 0
         for path in self._dir.glob("*/*.pkl"):
             try:
-                loose_bytes += path.stat().st_size
+                total_bytes += path.stat().st_size
             except OSError:
                 continue
-            loose_entries += 1
-        pack_files = pack_bytes = packed_entries = 0
-        packs = pack_dir(self._dir)
-        if packs.is_dir():
-            for path in packs.glob("*.pack"):
-                try:
-                    pack_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                pack_files += 1
-                packed_entries += sum(1 for _ in scan_pack(path))
-        try:
-            index_bytes = self._index.path.stat().st_size
-        except OSError:
-            index_bytes = 0
+            entries += 1
         return {
             "root": str(self.root),
             "schema_dir": str(self._dir),
-            "loose_entries": loose_entries,
-            "loose_bytes": loose_bytes,
-            "pack_files": pack_files,
-            "packed_entries": packed_entries,
-            "pack_bytes": pack_bytes,
-            "index_entries": self._index.entry_count(),
-            "index_bytes": index_bytes,
-            "total_bytes": loose_bytes + pack_bytes + index_bytes,
+            "entries": entries,
+            "total_bytes": total_bytes,
         }
 
     def stats(self) -> DiskCacheStats:
@@ -690,13 +534,23 @@ class DiskCache:
             stores=self._stores,
             skipped_stores=self._skipped_stores,
             pack_commits=self._pack_commits,
-            packed_stores=self._packed_stores,
         )
 
 
 #: In-flight writes live seconds; a ``.tmp`` file older than this is a
 #: crashed writer's leftover and safe to reclaim.
 STALE_TMP_AGE_S = 3600.0
+
+
+def _is_retired_format_file(path: Path) -> bool:
+    """A pack file or manifest an older checkout of the disk tier wrote.
+
+    The running code never reads them, so they would otherwise sit
+    outside the byte budget forever.
+    """
+    return path.name == "index.repri" or (
+        path.suffix == ".pack" and path.parent.name == "packs"
+    )
 
 
 @dataclass(frozen=True)
@@ -707,20 +561,18 @@ class PruneReport:
     scanned_bytes: int
     removed_entries: int
     removed_bytes: int
+    #: Stale in-flight ``.tmp`` files plus retired-format leftovers
+    #: (pack files and manifests an older checkout wrote).
     removed_tmp_files: int
     kept_entries: int
     kept_bytes: int
-    #: Pack files rewritten to drop evicted entries (a pack whose every
-    #: entry was evicted is simply unlinked and not counted here).
-    compacted_packs: int = 0
 
     def describe(self) -> str:
         """One human-readable summary line."""
         return (
             f"pruned {self.removed_entries} of {self.scanned_entries} "
             f"entries ({self.removed_bytes} of {self.scanned_bytes} bytes)"
-            f"{f' + {self.removed_tmp_files} stale tmp file(s)' if self.removed_tmp_files else ''}"
-            f"{f' + {self.compacted_packs} pack(s) compacted' if self.compacted_packs else ''}; "
+            f"{f' + {self.removed_tmp_files} stale file(s)' if self.removed_tmp_files else ''}; "
             f"{self.kept_entries} entries / {self.kept_bytes} bytes kept"
         )
 
@@ -738,12 +590,6 @@ def _remove_empty_dirs(root: Path) -> None:
             pass
 
 
-def _schema_fingerprint_of(directory: Path) -> str:
-    """The fingerprint embedded in a schema directory's name."""
-    name = directory.name
-    return name.split("-", 1)[1] if "-" in name else ""
-
-
 def prune_cache_dir(
     root: "Path | str",
     max_bytes: Optional[int] = None,
@@ -755,20 +601,12 @@ def prune_cache_dir(
     Eviction is LRU by last use, never by write order: entries older
     than ``max_age_s`` go first unconditionally, then the oldest
     remaining entries are removed until the directory fits
-    ``max_bytes``. The recency signal is the entry file's mtime for
-    loose entries (loads refresh it) and the index's last-access time
-    for packed entries (pack reads cannot touch a per-entry file — the
-    manifest's touch records stand in). All schema generations under
-    ``root`` are considered — entries from an older code generation are
-    unreachable anyway and age out naturally (their recency stops
-    refreshing). Stale in-flight ``.tmp`` files are always reclaimed.
-
-    Packs participate entry-by-entry: a pack whose every entry is
-    evicted is unlinked whole; a partially evicted pack is *compacted*
-    — its surviving entries are rewritten into a fresh pack and the old
-    file removed — so the byte budget is actually honored, not merely
-    promised. Each touched schema generation's manifest is rebuilt
-    afterwards (and deleted when the generation empties out).
+    ``max_bytes``. The recency signal is the entry file's mtime, which
+    loads refresh. All schema generations under ``root`` are considered
+    — entries from an older code generation are unreachable anyway and
+    age out naturally (their mtime stops refreshing). Stale in-flight
+    ``.tmp`` files and retired-format leftovers (pack files and
+    ``index.repri`` manifests) are always reclaimed.
 
     Every removal is best-effort: a file that vanishes mid-prune (a
     concurrent prune, a cleanup) is skipped, and a nonexistent ``root``
@@ -784,11 +622,7 @@ def prune_cache_dir(
     if now is None:
         now = time.time()
     removed_tmp = 0
-    # One work item per entry: (recency, size, descriptor); a
-    # descriptor is ("loose", path) or ("packed", schema_dir, pack
-    # name, offset, length).
-    entries: List[Tuple[float, int, Tuple]] = []
-    indexes: Dict[Path, DiskCacheIndex] = {}
+    entries: List[Tuple[float, int, Path]] = []  # (mtime, size, path)
     if root.is_dir():
         for path in root.rglob("*"):
             try:
@@ -798,125 +632,34 @@ def prune_cache_dir(
             except OSError:
                 continue
             if path.name.endswith(".tmp"):
-                if now - stat.st_mtime > STALE_TMP_AGE_S:
-                    try:
-                        path.unlink()
-                        removed_tmp += 1
-                    except OSError:
-                        pass
-                continue
-            if path.suffix == ".pkl":
-                entries.append(
-                    (stat.st_mtime, stat.st_size, ("loose", path))
-                )
-        for schema_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-            packs = pack_dir(schema_dir)
-            if not packs.is_dir():
-                continue
-            index = DiskCacheIndex(
-                schema_dir, _schema_fingerprint_of(schema_dir)
-            )
-            index.load()  # best-effort; atimes default to pack mtime
-            indexes[schema_dir] = index
-            for path in sorted(packs.glob("*.pack")):
+                stale = now - stat.st_mtime > STALE_TMP_AGE_S
+            else:
+                stale = _is_retired_format_file(path)
+            if stale:
                 try:
-                    pack_mtime = path.stat().st_mtime
+                    path.unlink()
+                    removed_tmp += 1
                 except OSError:
-                    continue
-                for digest, offset, length in scan_pack(path):
-                    record = index.get(digest)
-                    atime = (
-                        record.atime
-                        if record is not None and record.atime > pack_mtime
-                        else pack_mtime
-                    )
-                    entries.append(
-                        (
-                            atime,
-                            length,
-                            ("packed", schema_dir, path.name, offset, length),
-                        )
-                    )
+                    pass
+            elif path.suffix == ".pkl":
+                entries.append((stat.st_mtime, stat.st_size, path))
     entries.sort(key=lambda item: item[0])  # oldest (least recent) first
     scanned = len(entries)
     scanned_bytes = sum(size for _, size, _ in entries)
-    victims = []
-    survivors = []
-    for recency, size, descriptor in entries:
-        if max_age_s is not None and now - recency > max_age_s:
-            victims.append((size, descriptor))
-        else:
-            survivors.append((size, descriptor))
-    if max_bytes is not None:
-        kept_bytes = sum(size for size, _ in survivors)
-        index_pos = 0  # survivors are still oldest-first
-        while kept_bytes > max_bytes and index_pos < len(survivors):
-            size, descriptor = survivors[index_pos]
-            victims.append((size, descriptor))
-            kept_bytes -= size
-            index_pos += 1
-        survivors = survivors[index_pos:]
+    kept_bytes = scanned_bytes
     removed = removed_bytes = 0
-    touched_dirs: set = set()
-    # Loose victims: plain unlinks.
-    packed_victims: Dict[Tuple[Path, str], set] = {}
-    for size, descriptor in victims:
-        if descriptor[0] == "loose":
-            _kind, path = descriptor
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            removed_bytes += size
-            # .../<schema_dir>/<shard>/<digest>.pkl
-            touched_dirs.add(path.parent.parent)
-        else:
-            _kind, schema_dir, pack_name, offset, _length = descriptor
-            packed_victims.setdefault((schema_dir, pack_name), set()).add(
-                offset
-            )
-    # Packed victims: unlink fully dead packs, compact the rest.
-    compacted = 0
-    for (schema_dir, pack_name), dead_offsets in packed_victims.items():
-        path = pack_dir(schema_dir) / pack_name
-        records = list(scan_pack(path))
-        dead = [r for r in records if r[1] in dead_offsets]
-        keep = [r for r in records if r[1] not in dead_offsets]
+    for mtime, size, path in entries:
+        too_old = max_age_s is not None and now - mtime > max_age_s
+        over_budget = max_bytes is not None and kept_bytes > max_bytes
+        if not (too_old or over_budget):
+            continue
         try:
-            if keep:
-                payloads = [
-                    (
-                        digest,
-                        read_pack_payload(schema_dir, pack_name, offset, length),
-                    )
-                    for digest, offset, length in keep
-                ]
-                write_pack(schema_dir, payloads)
-                compacted += 1
             path.unlink()
         except OSError:
-            continue  # pack left whole; its entries simply survive
-        removed += len(dead)
-        removed_bytes += sum(length for _, _, length in dead)
-        touched_dirs.add(schema_dir)
-    # Rebuild each touched generation's manifest from the new on-disk
-    # truth (preserving known access times); an emptied generation
-    # drops its manifest so the directory tree can be cleaned fully.
-    for schema_dir in sorted(touched_dirs):
-        index = indexes.get(schema_dir)
-        if index is None:
-            if not (schema_dir / INDEX_NAME).is_file():
-                continue  # pre-index legacy dir: nothing to maintain
-            index = DiskCacheIndex(
-                schema_dir, _schema_fingerprint_of(schema_dir)
-            )
-            index.load()
-        if index.rebuild() == 0:
-            try:
-                index.path.unlink()
-            except OSError:
-                pass
+            continue
+        removed += 1
+        removed_bytes += size
+        kept_bytes -= size
     if removed or removed_tmp:
         _remove_empty_dirs(root)
     return PruneReport(
@@ -927,7 +670,6 @@ def prune_cache_dir(
         removed_tmp_files=removed_tmp,
         kept_entries=scanned - removed,
         kept_bytes=scanned_bytes - removed_bytes,
-        compacted_packs=compacted,
     )
 
 

@@ -101,69 +101,17 @@ def corrupt_disk_entry():
     """Fault injector: garble entries of an on-disk simulation cache.
 
     Returns a callable taking a cache directory; it overwrites the
-    stored pickle payload of ``count`` entries with garbage — loose
-    ``.pkl`` files first, then records inside pack files (group-committed
-    deltas land as packs, so a sweep's spill may have no loose entries
-    at all). Files and pack records stay in place, so membership probes
-    still see them. A well-behaved reader must treat the entries as
-    misses and recompute. Returns the corrupted paths.
+    stored pickle payload of ``count`` ``.pkl`` entry files with
+    garbage. The files stay in place, so membership probes still see
+    them. A well-behaved reader must treat the entries as misses and
+    recompute. Returns the corrupted paths.
     """
 
     def _corrupt(cache_dir, count: int = 1):
-        from repro.sim.diskindex import scan_pack
-
-        root = pathlib.Path(cache_dir)
-        victims = []
-        for path in sorted(root.rglob("*.pkl"))[:count]:
+        victims = sorted(pathlib.Path(cache_dir).rglob("*.pkl"))[:count]
+        for path in victims:
             path.write_bytes(b"\x00corrupt-truncated-entry")
-            victims.append(path)
-        if len(victims) < count:
-            for pack_path in sorted(root.rglob("*.pack")):
-                for _digest, offset, length in scan_pack(pack_path):
-                    with open(pack_path, "r+b") as handle:
-                        handle.seek(offset)
-                        handle.write(b"\x00" * length)
-                    victims.append(pack_path)
-                    if len(victims) >= count:
-                        break
-                if len(victims) >= count:
-                    break
         assert victims, f"no disk-cache entries under {cache_dir}"
         return victims
-
-    return _corrupt
-
-
-@pytest.fixture
-def corrupt_cache_index():
-    """Fault injector: damage an on-disk simulation cache's manifest.
-
-    Returns a callable taking a cache directory and a mode:
-    ``"garbage"`` overwrites the manifest with non-UTF-8 noise,
-    ``"truncate"`` shears it mid-line, ``"stale"`` rewrites the header
-    to a foreign schema generation. The store itself is untouched, so a
-    well-behaved cache must answer membership identically after a
-    rebuild. Returns the manifest path.
-    """
-
-    def _corrupt(cache_dir, mode: str = "garbage"):
-        from repro.sim.diskindex import INDEX_NAME
-
-        root = pathlib.Path(cache_dir)
-        manifests = sorted(root.rglob(INDEX_NAME))
-        assert manifests, f"no cache manifest under {cache_dir}"
-        path = manifests[0]
-        if mode == "garbage":
-            path.write_bytes(b"\xff\xfe not a manifest \x00\x01")
-        elif mode == "truncate":
-            data = path.read_bytes()
-            path.write_bytes(data[: max(len(data) * 2 // 3, 1)])
-        elif mode == "stale":
-            lines = path.read_bytes().splitlines(keepends=True)
-            lines[0] = b"repri 1 0000deadbeef\n"
-            path.write_bytes(b"".join(lines))
-        else:
-            raise ValueError(f"unknown corruption mode {mode!r}")
-        return path
 
     return _corrupt

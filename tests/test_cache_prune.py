@@ -2,7 +2,7 @@
 
 The disk tier used to be append-only; these tests pin the eviction
 contract: LRU by *use* (loads refresh mtime), age and byte budgets,
-stale-tmp reclamation, and the CLI/env front doors.
+stale-tmp and retired-format reclamation, and the CLI/env front doors.
 """
 
 import os
@@ -14,7 +14,6 @@ from repro.sim.diskcache import (
     DiskCache,
     PruneReport,
     STALE_TMP_AGE_S,
-    key_digest,
     prune_cache_dir,
 )
 
@@ -34,6 +33,17 @@ def _make_entries(root, count, payload_size=100):
         assert cache.store(key, "x" * payload_size)
         paths.append(cache.entry_path(key))
     return cache, paths
+
+
+def _plant_retired_format_files(schema_dir):
+    """Files the retired pack format left in a schema generation."""
+    packs = schema_dir / "packs"
+    packs.mkdir()
+    pack = packs / "0123abcd.pack"
+    pack.write_bytes(b"RPAK" + b"\x00" * 200)
+    index = schema_dir / "index.repri"
+    index.write_bytes(b"repri 1 000000000000\n")
+    return [pack, index]
 
 
 class TestPruneCacheDir:
@@ -121,39 +131,48 @@ class TestPruneCacheDir:
         assert "\n" not in text
         assert "2 of 2" in text
 
-    def test_recently_read_packed_entry_survives_byte_budget(self, tmp_path):
-        # Group-commit a delta as one pack, then age the whole pack.
+    def test_recently_read_batch_entry_survives_byte_budget(self, tmp_path):
+        # Commit a delta in one store_batch call, then age every entry.
         cache = DiskCache(tmp_path)
-        keys = [("prune-pack", i) for i in range(8)]
+        keys = [("prune-batch", i) for i in range(8)]
         assert cache.store_batch([(k, "x" * 100) for k in keys]) == 8
         assert cache.stats().pack_commits == 1
-        pack = next(cache.schema_dir.glob("packs/*.pack"))
-        _age(pack, 500)
-        # A fresh attach with no manifest takes every packed atime from
-        # the (backdated) pack mtime — the restart-after-a-while shape.
-        (cache.schema_dir / "index.repri").unlink()
+        for key in keys:
+            _age(cache.entry_path(key), 500)
+        # A fresh handle reading one entry marks it recently used.
         fresh = DiskCache(tmp_path)
-        # Reading one packed entry can only record recency through the
-        # manifest (there is no per-entry file to utime).
         assert fresh.load(keys[3]) is not None
-        length = fresh.index.get(key_digest(keys[3])).length
-        report = prune_cache_dir(tmp_path, max_bytes=length)
+        size = fresh.entry_path(keys[3]).stat().st_size
+        report = prune_cache_dir(tmp_path, max_bytes=size)
         assert report.removed_entries == 7
-        assert report.compacted_packs == 1
         survivor = DiskCache(tmp_path)
         assert survivor.load(keys[3]) is not None
         assert all(not survivor.contains(k) for k in keys if k != keys[3])
 
     def test_fully_dead_pack_is_unlinked_whole(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        assert cache.store_batch(
-            [(("prune-pack", i), "x" * 100) for i in range(8)]
-        ) == 8
+        # A pack an older checkout wrote is never read by this code, so
+        # a prune removes the whole file along with the evicted entries.
+        cache, _ = _make_entries(tmp_path, 2)
+        pack = _plant_retired_format_files(cache.schema_dir)[0]
         report = prune_cache_dir(tmp_path, max_bytes=0)
-        assert report.removed_entries == 8
-        assert report.compacted_packs == 0  # nothing survived to rewrite
+        assert report.removed_entries == 2
+        assert not pack.exists()
         assert not list(tmp_path.rglob("*.pack"))
         assert not list(tmp_path.rglob("index.repri"))
+
+    def test_retired_pack_and_index_files_are_reclaimed(self, tmp_path):
+        # Without any budget, leftovers of the retired pack format go
+        # while every loose entry stays.
+        cache, paths = _make_entries(tmp_path, 2)
+        leftovers = _plant_retired_format_files(cache.schema_dir)
+        report = prune_cache_dir(tmp_path)
+        assert report.removed_tmp_files == len(leftovers)
+        assert report.removed_entries == 0
+        assert report.kept_entries == 2
+        assert not any(path.exists() for path in leftovers)
+        assert not (cache.schema_dir / "packs").exists()
+        assert all(path.exists() for path in paths)
+        assert DiskCache(tmp_path).entry_count() == 2
 
     def test_old_schema_generations_age_out(self, tmp_path):
         # A directory from an older code generation is unreachable by

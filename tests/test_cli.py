@@ -391,7 +391,7 @@ class TestCacheStats:
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "2 entries" in out
-        assert "loose" in out and "packed" in out and "index" in out
+        assert "schema generation" in out
 
     def test_stats_json_is_machine_readable(self, tmp_path, capsys):
         import json
@@ -401,15 +401,16 @@ class TestCacheStats:
             "cache", "stats", "--cache-dir", cache_dir, "--json",
         ]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["loose_entries"] == 2
-        assert snapshot["packed_entries"] == 0
+        assert set(snapshot) == {
+            "root", "schema_dir", "entries", "total_bytes",
+        }
+        assert snapshot["entries"] == 2
         assert snapshot["total_bytes"] > 0
-        assert snapshot["index_entries"] == 2
 
-    def test_stats_counts_packed_entries(self, tmp_path, capsys):
+    def test_stats_counts_batch_committed_entries(self, tmp_path, capsys):
         from repro.sim.diskcache import DiskCache
 
-        cache_dir = str(tmp_path / "packedcache")
+        cache_dir = str(tmp_path / "batchcache")
         disk = DiskCache(cache_dir)
         assert disk.store_batch(
             [(("cli-stats", i), "x" * 50) for i in range(8)]
@@ -420,9 +421,10 @@ class TestCacheStats:
         import json
 
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["packed_entries"] == 8
-        assert snapshot["pack_files"] == 1
-        assert snapshot["loose_entries"] == 0
+        assert snapshot["entries"] == 8
+        assert snapshot["total_bytes"] == sum(
+            path.stat().st_size for path in disk.schema_dir.glob("*/*.pkl")
+        )
 
     def test_stats_needs_a_directory(self, capsys):
         assert main(["cache", "stats"]) == 2

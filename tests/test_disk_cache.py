@@ -7,6 +7,7 @@ file must degrade to a recompute, never a crash or a wrong answer.
 """
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.sim.cache import (
 )
 from repro.sim.diskcache import (
     DiskCache,
+    encode_entry_payload,
     key_digest,
     open_disk_cache,
     schema_fingerprint,
@@ -334,6 +336,90 @@ class TestTiering:
         clear_simulation_cache()
         assert simulation_cache_stats().size == 0
         assert disk.entry_count() == 1
+
+
+def _sim_entries(n, tiles=8, tag=100.0):
+    """``n`` distinct (key, value) sim entries, cheap to compute."""
+    system = hbm_system()
+    out = []
+    for i in range(n):
+        timing = KernelTiming(bytes_per_tile=tag + i, dec_cycles=20.0)
+        key = simulation_key(system, timing, tiles, DRAM_EFFICIENCY)
+        value = simulate_tile_stream(system, timing, tiles, use_cache=False)
+        out.append((key, value))
+    return out
+
+
+class TestDeltaCommit:
+    def test_store_batch_skips_existing_and_duplicate_entries(self, tmp_path):
+        entries = _sim_entries(4, tag=260.0)
+        disk = DiskCache(tmp_path)
+        assert disk.store(*entries[0])
+        # One entry already on disk, one repeated inside the delta.
+        assert disk.store_batch(entries + [entries[1]]) == 3
+        stats = disk.stats()
+        assert (stats.stores, stats.skipped_stores) == (4, 1)
+        assert stats.pack_commits == 1
+        # A delta with nothing new writes nothing and commits nothing.
+        assert disk.store_batch(entries) == 0
+        assert disk.stats().pack_commits == 1
+        assert disk.entry_count() == 4
+        assert disk.digests() == {key_digest(key) for key, _ in entries}
+        for key, value in entries:
+            assert results_bit_equal(disk.load(key), value)
+
+    def test_entry_file_is_the_encoded_payload(self, tmp_path):
+        # The socket executor ships encode_entry_payload bytes; they
+        # must be exactly what the store writes for the same entry.
+        key, value = _sim_entries(1, tag=250.0)[0]
+        disk = DiskCache(tmp_path)
+        assert disk.store_batch([(key, value)]) == 1
+        assert disk.entry_path(key).read_bytes() == encode_entry_payload(
+            key, value
+        )
+
+
+class TestConcurrentWriters:
+    def test_two_writers_never_lose_or_interleave_entries(self, tmp_path):
+        """Two caches committing overlapping deltas keep every entry.
+
+        Models two processes (each with its own handle) racing delta
+        commits over shared keys: every entry lands through its own
+        tmp file and an atomic rename, so a fresh handle must see the
+        union and load every entry bit-identically.
+        """
+        shared = _sim_entries(4, tag=400.0)
+        first = _sim_entries(6, tag=500.0) + shared
+        second = shared + _sim_entries(6, tag=600.0)
+        caches = [DiskCache(tmp_path), DiskCache(tmp_path)]
+        barrier = threading.Barrier(2)
+        failures = []
+
+        def commit(disk, entries):
+            try:
+                barrier.wait(timeout=10)
+                disk.store_batch(entries)
+            except Exception as error:  # pragma: no cover - diagnostic
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=commit, args=(caches[0], first)),
+            threading.Thread(target=commit, args=(caches[1], second)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not failures
+        union = first + second[len(shared):]
+        written = sum(cache.stats().stores for cache in caches)
+        assert len(union) <= written <= len(union) + len(shared)
+        fresh = DiskCache(tmp_path)
+        assert fresh.entry_count() == len(union)
+        assert not list(fresh.schema_dir.rglob("*.tmp"))
+        for key, value in union:
+            assert fresh.contains(key)
+            assert results_bit_equal(fresh.load(key), value)
 
 
 class TestConfiguration:

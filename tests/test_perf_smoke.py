@@ -58,16 +58,6 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
     assert reclaim["full_s"] > 0.0
     assert 0.0 <= reclaim["reclaimed_fraction"] <= 1.0
     assert reclaim["cells"] > 0.0
-    # The disk-tier anchors measured both sides and derived their
-    # ratios.
-    delta = results["disk_delta_commit"]
-    assert delta["per_entry_s"] > 0.0
-    assert delta["delta_commit_speedup"] > 0.0
-    assert delta["entries"] > 0.0
-    attach = results["disk_index_attach"]
-    assert attach["stat_walk_s"] > 0.0
-    assert attach["index_attach_speedup"] > 0.0
-    assert attach["entries"] > 0.0
     # The socket-executor anchors measured both backends / both sweeps
     # and derived their ratios; the warm shard ratio is a true fraction
     # of the cold transfer even at smoke sizes.

@@ -101,3 +101,26 @@ def test_record_only_anchor_is_never_gated():
     recorded = {"figure12_sweep": {"after_s": 0.4}}
     fresh = {"figure12_sweep": {"after_s": 1.2}}
     assert len(check_regression.compare(recorded, fresh, 0.25)) == 1
+
+
+def test_recorded_report_meets_its_own_ratio_gates():
+    # The checked-in BENCH_perf.json is the reference every fresh run is
+    # compared against; a recorded ratio already outside its own floor
+    # or ceiling makes the gate red before any code changes.
+    recorded = json.loads(
+        check_regression.DEFAULT_OUTPUT.read_text()
+    )["benchmarks"]
+    gates = [
+        (name, field, limit, "floor")
+        for name, (field, limit, _) in check_regression.RATIO_FLOORS.items()
+    ] + [
+        (name, field, limit, "ceiling")
+        for name, (field, limit, _) in check_regression.RATIO_CEILINGS.items()
+    ]
+    for name, field, limit, kind in gates:
+        assert name in recorded, f"{name} is gated but not recorded"
+        value = recorded[name][field]
+        if kind == "floor":
+            assert value >= limit, f"{name}: {field} {value} < {limit}"
+        else:
+            assert value <= limit, f"{name}: {field} {value} > {limit}"

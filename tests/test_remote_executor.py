@@ -6,8 +6,8 @@ dispatch contiguous cell partitions to socket workers and stream
 ``(index, result, cache delta)`` chunks back through the same
 incremental-merge path as the fork pool. The backend never changes
 results: every scenario is bit-identical to the serial and fork runs.
-Worker cache deltas cross the wire as hash-sharded packed entries
-deduped against the parent's digest set, a dead host's unfinished cells
+Worker cache deltas cross the wire as hash-sharded entry payloads
+deduped against the parent's digest set (memory keys plus disk tier), a dead host's unfinished cells
 are recomputed in-parent, and ``shutdown_worker_pool`` reaps the
 loopback subprocesses.
 """
@@ -183,6 +183,35 @@ class TestDeltaDedup:
         assert warm.delta_bytes_received == 0
         assert warm.worker_misses == 0
         assert warm.worker_hits == warm.tasks
+
+    def test_parent_disk_tier_entries_are_not_shipped(self, tmp_path):
+        """Entries the parent's disk tier holds never cross the wire.
+
+        The parent advertises its disk digests alongside its memory
+        keys, so workers computing cells whose entries sit only on the
+        parent's disk drop them from their deltas.
+        """
+        from repro.experiments.grid import grid_spec
+        from repro.sim.cache import (
+            configure_simulation_cache_dir,
+            simulation_cache_disk,
+        )
+
+        spec = grid_spec(tiles=48)
+        configure_simulation_cache_dir(str(tmp_path))
+        try:
+            serial = spec.run(jobs=1)
+            assert simulation_cache_disk().entry_count() > 0
+            clear_simulation_cache()
+            hosts = remote.start_loopback_workers(2)
+            remote.configure_sweep_hosts(hosts)
+            before = remote.executor_topology()["delta_bytes_received"]
+            socketed = spec.run(jobs=2)
+            assert last_sweep_execution().backend == "socket"
+            assert remote.executor_topology()["delta_bytes_received"] == before
+            assert socketed == serial
+        finally:
+            configure_simulation_cache_dir(None)
 
 
 class TestLifecycle:

@@ -513,7 +513,7 @@ class TestPreload:
             assert simulation_cache_stats().misses == 0
             snapshot = second.status_snapshot()
             assert snapshot["disk"] is not None
-            assert snapshot["disk"]["index_entries"] >= preload["keys"]
+            assert snapshot["disk"]["entries"] >= preload["keys"]
             second.drain()
         finally:
             configure_simulation_cache_dir(None)
