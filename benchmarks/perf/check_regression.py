@@ -20,7 +20,8 @@ the work-bound Figure 12 workload), the serve daemon must coalesce >=90% of dupl
 concurrent requests onto a single underlying sweep, and a cancelled
 sweep must leave >=50% of its grid's pool tasks undispatched.
 ``RATIO_CEILINGS`` is the mirror image for overhead ratios: loopback
-socket dispatch must stay within 2x of the fork pool, and a warm
+TCP workers must stay within 2x of forked workers on the same
+protocol, and a warm
 replay on live socket workers must re-ship at most 10% of the cold
 run's cache-shard bytes. Anchors in ``RECORD_ONLY_BENCHMARKS`` (the
 end-to-end CLI wall time) are recorded for the trajectory and never
@@ -237,13 +238,15 @@ def _ratio_floor_failures(recorded: dict, fresh: dict) -> "list[str]":
 #: :data:`RATIO_FLOORS` for overhead ratios measured within one run,
 #: where *smaller* is better and machine speed cancels out.
 RATIO_CEILINGS = {
-    # Dispatching a dispatch-bound grid through 2 loopback socket
-    # workers may cost framing/pickling overhead over the fork pool,
-    # but must stay within 2x of it — above that the socket transport
-    # is re-shipping state per cell instead of amortizing it.
+    # Forked workers and TCP hosts speak the same frames; dispatching
+    # a dispatch-bound grid through 2 loopback TCP workers adds only
+    # what TCP hosts do on top (subprocess workers, the per-sweep
+    # digest set, hash-sharded deltas), which must stay within 2x of
+    # the 2 forked workers — above that the TCP path is re-shipping
+    # state per cell instead of amortizing it.
     "remote_dispatch_overhead": (
         "dispatch_overhead_ratio", 2.0,
-        "loopback socket dispatch costs more than 2x the fork pool",
+        "loopback TCP workers cost more than 2x forked workers",
     ),
     # A warm replay on live socket workers must ship almost no shard
     # bytes: workers dedup their deltas against the parent's digest

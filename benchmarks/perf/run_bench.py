@@ -698,7 +698,7 @@ def run_benchmarks(
             "cpu_count": float(os.cpu_count() or 1),
         }
 
-    # --- socket executor: per-cell dispatch overhead vs fork -----------
+    # --- TCP hosts vs forked workers, same protocol, per cell ----------
     if want("remote_dispatch_overhead"):
         from repro.experiments import remote
         from repro.experiments.parallel import shutdown_worker_pool
@@ -732,9 +732,9 @@ def run_benchmarks(
         results["remote_dispatch_overhead"] = {
             "after_s": socket_s,
             "fork_s": fork_s,
-            # Loopback socket sweep over fork sweep, same grid, same
-            # width. Machine-independent: both backends run on this
-            # host, so the ratio cancels its absolute speed.
+            # 2 loopback TCP workers over 2 forked socketpair workers,
+            # same grid, same frames. Machine-independent: both run on
+            # this host, so the ratio cancels its absolute speed.
             "dispatch_overhead_ratio": socket_s / fork_s,
             "cells": 48.0,
             "cpu_count": float(os.cpu_count() or 1),
@@ -970,8 +970,8 @@ def main(argv=None) -> int:
             )
         if "dispatch_overhead_ratio" in entry:
             line += (
-                f"  {entry['dispatch_overhead_ratio']:5.2f}x socket vs "
-                "fork dispatch"
+                f"  {entry['dispatch_overhead_ratio']:5.2f}x TCP vs "
+                "forked workers"
             )
         if "warm_shard_bytes_ratio" in entry:
             line += (

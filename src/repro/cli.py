@@ -25,7 +25,7 @@ Commands:
   JSON, ``--status``, or ``--ping``) to a running daemon and stream
   its JSONL rows to stdout.
 * ``worker`` — run one socket sweep worker: bind a TCP port (loopback
-  by default) and serve cell partitions dispatched by a parent's
+  by default) and serve sweep cells dispatched by a parent's
   ``--hosts`` / ``REPRO_SWEEP_HOSTS`` sweep (see
   ``docs/DISTRIBUTED.md`` for the operator guide and trust model).
 
@@ -33,7 +33,8 @@ Repeated simulations are served from the process-wide LRU cache
 (``repro.sim.cache``), and the sweep-shaped commands (``experiments``,
 ``simulate`` with several schemes, ``dse``) accept ``--jobs N`` to fan
 independent configurations out across a persistent pool of forked
-worker processes whose caches are merged incrementally as cells finish
+worker processes, each on a private socketpair speaking the same frames
+as ``repro worker``, whose caches are merged incrementally as cells finish
 (``--jobs 0`` = one worker per CPU; the pool is reused by every sweep
 in the invocation). Workers start with a fork-time copy of the
 parent's cache, keep their own entries across sweeps, and read the
@@ -688,10 +689,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs", type=int, default=1, metavar="N",
-            help="fork N workers for independent configurations and merge "
-                 "their simulation caches on join (default: 1 = serial, "
-                 "0 = one worker per CPU); the pool persists across "
-                 "sweeps within one invocation",
+            help="fork N socket-connected workers for independent "
+                 "configurations and merge their simulation caches as "
+                 "cells land (default: 1 = serial, 0 = one worker per "
+                 "CPU); the workers persist across sweeps within one "
+                 "invocation",
         )
 
     def add_cache_dir(p: argparse.ArgumentParser) -> None:
@@ -706,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--hosts", default=None, metavar="HOST:PORT,...",
             help="dispatch sweep cells to these `repro worker` socket "
-                 "workers instead of the local fork pool (comma-"
+                 "workers instead of local forked workers (comma-"
                  "separated; overrides $REPRO_SWEEP_HOSTS, '' disables); "
                  "the host list replaces --jobs as the parallelism",
         )

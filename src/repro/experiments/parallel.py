@@ -1,4 +1,4 @@
-"""Process-pool execution of embarrassingly parallel experiment sweeps.
+"""The front door of every experiment sweep: serial, forked or remote.
 
 The paper's headline tables are cartesian grids of independent
 ``(system, scheme, engine)`` cells — ideal fan-out work. This module is
@@ -11,44 +11,39 @@ in :mod:`repro.experiments.sweepspec` (and through them ``run_grid``,
 Execution model
 ---------------
 
-* Cells are dispatched **individually** to a pool of forked workers and
-  their results stream back as each finishes (an ``imap_unordered``-style
-  flow built on ``apply_async`` with a bounded in-flight window, so a
-  consumer that stops early also stops *dispatch*). A worker returns a
-  ``(cell_index, result, cache_delta)`` chunk the moment its cell is
-  done; the parent merges the cache delta immediately and re-sorts
-  results by index on the fly, so :func:`stream_map` yields
-  ``(0, r0), (1, r1), …`` in input order even when workers complete out
-  of order — and the first result is available long before the last
-  cell computes.
-* Workers are forked (POSIX ``fork`` start method) into a **persistent
-  pool** that lives for the whole invocation: the first ``jobs > 1``
-  sweep pays the ~45 ms spin-up, every later sweep reuses the same
-  worker processes (the pool is rebuilt only when a sweep needs a
-  *wider* one — a narrower sweep idles the surplus workers — and torn
-  down atexit, or explicitly via :func:`shutdown_worker_pool`).
-  Each worker inherits the parent's warm simulation cache at pool
-  creation and runs its cells through the existing memoized front
-  door (:func:`repro.sim.pipeline.simulate_tile_stream`).
-* Because workers outlive individual sweeps, every cell payload
-  carries the parent's cache *clear generation* and its cache-dir
-  configuration: a worker whose generation lags (the parent called
-  ``clear_simulation_cache`` since the fork) drops its own copy before
-  running, and a worker whose disk tier differs re-attaches. Clearing
-  therefore behaves exactly as with fork-per-sweep.
-* Each finished cell ships back only the cache entries that cell
-  *computed* in its worker (inherited and earlier-cell keys are
-  snapshotted at cell start, and entries the cell loaded from the
-  shared disk tier are skipped — the parent reaches the same
-  directory) plus its hit/miss/disk-hit deltas; the parent folds them
-  in via :func:`repro.sim.cache.merge_simulation_cache`, keyed by the
-  same ``simulation_key`` — incrementally, as the chunks arrive, not
-  at a barrier join. Duplicate keys across workers must resolve
-  bit-identically (asserted in debug mode) — the simulator is pure, so
-  anything else is a bug. With a disk tier configured
-  (:mod:`repro.sim.diskcache`), workers spill their computed entries to
-  the shared cache directory as they go, and the parent's merge skips
-  re-writing them (content-addressed store).
+There is one executor, in :mod:`repro.experiments.remote`: worker
+processes that speak a framed socket protocol, driven by one stream
+loop. Only the way a worker link is made differs:
+
+* ``jobs > 1`` — this module keeps a **persistent pool** of forked
+  workers, each on a private ``socket.socketpair()``. The first
+  fanned-out sweep forks them; every later sweep reuses them. The pool
+  is rebuilt only when a sweep needs a *wider* one (a narrower sweep
+  idles the surplus workers), a worker that died is re-forked by the
+  next sweep, and the pool is torn down atexit or by
+  :func:`shutdown_worker_pool`. Each forked worker shares the parent's
+  cache tiers: it starts with a fork-time copy of the memory cache,
+  follows the parent's cache directory and clear generation, and ships
+  back only the entries each cell computed.
+* hosts configured (``--hosts``, ``REPRO_SWEEP_HOSTS`` or
+  :func:`repro.experiments.remote.configure_sweep_hosts`) — cells go to
+  ``repro worker`` processes over TCP instead. The host list overrides
+  ``jobs``: the hosts *are* the parallelism.
+
+Either way each worker gets a contiguous partition of the cells, with a
+couple in flight at a time; chunks stream back as cells finish, the
+parent merges each cell's cache delta via
+:func:`repro.sim.cache.merge_simulation_cache` the moment it lands and
+re-sorts results by index on the fly, so :func:`stream_map` yields
+``(0, r0), (1, r1), …`` in input order long before the last cell
+computes. Duplicate keys across workers must resolve bit-identically
+(asserted in debug mode) — the simulator is pure, so anything else is a
+bug. Several threads (the serve daemon's runners) may sweep over the
+same workers at once.
+
+A worker that dies is seen at once as EOF on its link; its cells
+without a received result recompute in-parent, so the sweep's output
+is identical to a healthy run.
 
 Worker warmth
 -------------
@@ -56,7 +51,7 @@ Worker warmth
 Nothing is pushed to workers at dispatch. A worker is warm through
 three paths that cost the sweep nothing up front:
 
-* **fork inheritance** — a freshly forked pool starts with a copy of
+* **fork inheritance** — a freshly forked worker starts with a copy of
   the parent's whole in-memory cache;
 * **its own LRU** — a persistent worker keeps what it computed or
   loaded in earlier sweeps of the invocation;
@@ -65,8 +60,8 @@ three paths that cost the sweep nothing up front:
 
 Entries merged into the parent after the fork are therefore not in a
 reused worker's memory; without a disk tier such a worker recomputes
-them. Results are unaffected either way: the simulator is pure, so
-warmth moves only hit counters and wall-clock.
+them. Results are unaffected either way: warmth moves only hit
+counters and wall-clock.
 
 Cancellation contract
 ---------------------
@@ -75,34 +70,16 @@ Closing a :func:`stream_map` generator early (``break`` in a consumer
 loop, ``.close()``) stops dispatching new cells immediately; the
 bounded handful already in flight finish in their workers, their cache
 deltas are merged so the cache stays consistent, and the persistent
-pool remains usable for the next sweep. :func:`last_sweep_execution`
+workers remain usable for the next sweep. :func:`last_sweep_execution`
 records the early exit (``cancelled=True`` with ``completed`` < tasks).
-
-Socket backend (multi-host sweeps)
-----------------------------------
-
-When worker hosts are configured (``--hosts`` on the sweep CLIs, the
-``REPRO_SWEEP_HOSTS`` environment variable, or
-:func:`repro.experiments.remote.configure_sweep_hosts`),
-:func:`stream_map` dispatches through the socket-transport backend in
-:mod:`repro.experiments.remote` instead of the local fork pool:
-contiguous cell partitions go to N ``repro worker`` processes over
-length-prefixed frames, chunks stream back through this module's same
-incremental-merge/index-sort path, and each worker's cache delta comes
-back as hash-sharded entry payloads deduped against the parent's
-digest set.
-Results are bit-identical to the serial and fork paths; host death
-recovers by in-parent recompute exactly like the fork backend's
-worker-loss path. The host list overrides ``jobs`` — the hosts *are*
-the parallelism.
 
 Degradation contract
 --------------------
 
 ``jobs=1``, a single task, or a platform without ``fork`` (Windows,
-some sandboxes) all stream the plain serial loop in-process — no pool,
-no pickling, bit-identical to the pre-parallel code path (and the
-serial path *still* yields each result as it is computed, so
+some sandboxes) all stream the plain serial loop in-process — no
+workers, no pickling, bit-identical to the pre-parallel code path (and
+the serial path *still* yields each result as it is computed, so
 incremental emission works without workers). Nested calls (a task
 function that itself calls :func:`stream_map` / :func:`parallel_map`)
 also degrade to serial inside workers rather than forking
@@ -112,11 +89,7 @@ grandchildren.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
-import multiprocessing.pool
 import os
-import queue
-import signal
 import sys
 import threading
 import time
@@ -133,39 +106,12 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, DeadlineExceededError
-from repro.sim import cache as _simcache
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-#: How long the streaming join waits with *zero* chunks landing after a
-#: worker death was observed before concluding the dead worker took
-#: in-flight cells with it and re-dispatching them (seconds; env
-#: override below). A killed pool worker is respawned by the pool's
-#: maintenance thread, but any cell it was running is silently lost —
-#: its callback never fires — so without a re-dispatch the join would
-#: block forever on ``done.get()``.
-WORKER_LOSS_GRACE_DEFAULT_S = 5.0
-
-#: Environment override for the worker-loss grace period (seconds).
-WORKER_LOSS_GRACE_ENV = "REPRO_WORKER_LOSS_GRACE_S"
-
-#: Poll interval of the streaming join's queue waits; bounds how stale
-#: the worker-death observation can be, not result latency (a landed
-#: chunk wakes the wait immediately).
-_JOIN_POLL_S = 0.25
-
-#: Zero-progress stall fallback, as a multiple of the worker-loss grace
-#: period: when *nothing* has landed for this long, lost cells are
-#: recovered even without an observed worker death (a worker killed
-#: while idle wedges the pool's shared task queue — it dies holding the
-#: queue's reader lock — and may be respawned before any sweep gets to
-#: notice the PID change).
-_STALL_GRACE_FACTOR = 8
-
-#: Set in pool workers (via the pool initializer) so nested parallel_map
-#: calls degrade to serial instead of forking grandchildren — pool
-#: workers are daemonic and cannot spawn children anyway.
+#: Set in workers (forked or ``repro worker``) so nested parallel_map
+#: calls degrade to serial instead of forking grandchildren.
 _IN_WORKER = False
 
 #: The one validation message for a negative worker count, shared by
@@ -176,11 +122,8 @@ NEGATIVE_JOBS_ERROR = (
 
 
 def fork_available() -> bool:
-    """Whether this platform supports the ``fork`` start method."""
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - defensive
-        return False
+    """Whether this platform can fork worker processes."""
+    return hasattr(os, "fork")
 
 
 def resolve_jobs(jobs: Optional[int], tasks: int) -> int:
@@ -190,8 +133,7 @@ def resolve_jobs(jobs: Optional[int], tasks: int) -> int:
     Negative values raise :class:`ConfigurationError` with the shared
     :data:`NEGATIVE_JOBS_ERROR` message. The result is clamped to the
     task count, and collapses to 1 when the platform lacks ``fork`` or
-    when already inside a pool worker — the serial degradation
-    contract.
+    when already inside a worker — the serial degradation contract.
     """
     if jobs is None or jobs == 0:
         jobs = os.cpu_count() or 1
@@ -219,12 +161,11 @@ class SweepExecution:
     completed: int = 0
     #: Whether the stream was closed before every cell ran.
     cancelled: bool = False
-    #: Cells re-dispatched after a pool worker died mid-sweep (0 in
-    #: healthy runs; see the worker-loss recovery contract).
+    #: Cells recomputed in-parent after their worker died mid-sweep (0
+    #: in healthy runs).
     redispatched_cells: int = 0
-    #: Which executor ran the sweep: ``"serial"`` (in-process loop),
-    #: ``"fork"`` (local process pool), or ``"socket"`` (the remote
-    #: backend in :mod:`repro.experiments.remote`).
+    #: Which workers ran the sweep: ``"serial"`` (in-process loop),
+    #: ``"fork"`` (the local forked pool), or ``"socket"`` (TCP hosts).
     backend: str = "fork"
     #: Socket-backend topology: the hosts dispatched to and how many
     #: cells each completed (empty for serial/fork sweeps).
@@ -252,12 +193,11 @@ def _mark_worker() -> None:
     _IN_WORKER = True
 
 
-#: The persistent pool and the worker count it was built with. A pool is
-#: created lazily by the first fanned-out sweep, reused by every later
-#: sweep in the invocation, rebuilt when the requested width changes,
-#: and torn down atexit (or via :func:`shutdown_worker_pool`).
-_POOL: Optional[multiprocessing.pool.Pool] = None
-_POOL_JOBS = 0
+#: The persistent forked workers (``remote._Link`` objects). Created
+#: lazily by the first fanned-out sweep, reused by every later sweep in
+#: the invocation, rebuilt when a sweep needs more, and torn down atexit
+#: (or via :func:`shutdown_worker_pool`).
+_POOL: List[Any] = []
 _ATEXIT_REGISTERED = False
 
 #: Whether a long-lived owner (the serve daemon) holds the pool. An
@@ -266,56 +206,60 @@ _ATEXIT_REGISTERED = False
 #: and tears it down itself via :func:`release_worker_pool`.
 _POOL_OWNED = False
 
-#: Set when a pool worker is seen to have died (or a sweep stalled with
-#: zero progress, which a dead worker can cause without ever being
-#: observed). A worker SIGKILLed while blocked on the pool's shared
-#: task queue dies *holding the queue's reader lock*, wedging the queue
-#: for every surviving worker — so a suspect pool is terminated at
-#: teardown rather than gracefully closed (a close/join would block
-#: forever waiting for workers that can never drain their queue).
-_POOL_SUSPECT = False
-
 #: Serializes pool creation/teardown: the serve daemon dispatches
 #: concurrent sweeps onto the shared pool from multiple runner threads.
 _POOL_LOCK = threading.Lock()
 
-#: Cumulative count of cell tasks handed to the pool by this process
-#: (``apply_async`` submissions; in-parent worker-loss recovery
-#: excluded). Tests use deltas of this to pin
-#: "exactly one sweep's worth of compute happened".
+#: Cumulative count of cells sent to workers by this process (in-parent
+#: recovery excluded). Tests use deltas of this to pin "exactly one
+#: sweep's worth of compute happened".
 _DISPATCHED_TASKS = 0
+_DISPATCH_LOCK = threading.Lock()
+
 
 def dispatched_task_count() -> int:
-    """Cumulative cell tasks this process has handed to the pool."""
+    """Cumulative cells this process has sent to workers."""
     return _DISPATCHED_TASKS
 
 
-def _get_pool(n_jobs: int) -> multiprocessing.pool.Pool:
-    """The persistent worker pool, grown to at least ``n_jobs`` workers.
+def _count_dispatch() -> None:
+    global _DISPATCHED_TASKS
+    with _DISPATCH_LOCK:
+        _DISPATCHED_TASKS += 1
+
+
+def _get_pool(n_jobs: int) -> Tuple[List[Any], bool]:
+    """Links to ``n_jobs`` live forked workers, and whether they existed.
 
     A wider-than-needed pool is reused as-is (surplus workers idle
     through the sweep): ``n_jobs`` is clamped to the task count, so a
     small sweep following a large one must not tear down — and
     re-fork — the pool the large sweeps amortize. An *owned* pool is
     never rebuilt either: a sweep asking for more workers than the
-    owner provisioned runs at the owned width instead.
+    owner provisioned runs at the owned width instead. Workers that
+    died since the last sweep are re-forked in place.
     """
     with _POOL_LOCK:
-        return _get_pool_locked(n_jobs)
+        reused = 0 < len(_POOL) and len(_POOL) >= n_jobs
+        _ensure_pool_locked(n_jobs)
+        return _POOL[:n_jobs], reused
 
 
-def _get_pool_locked(n_jobs: int) -> multiprocessing.pool.Pool:
-    global _POOL, _POOL_JOBS, _ATEXIT_REGISTERED
-    if _POOL is not None and _POOL_JOBS < n_jobs and not _POOL_OWNED:
+def _ensure_pool_locked(n_jobs: int) -> None:
+    global _ATEXIT_REGISTERED
+    from repro.experiments.remote import fork_workers
+
+    if _POOL and len(_POOL) < n_jobs and not _POOL_OWNED:
         _shutdown_pool_locked()
-    if _POOL is None:
-        context = multiprocessing.get_context("fork")
-        _POOL = context.Pool(n_jobs, initializer=_mark_worker)
-        _POOL_JOBS = n_jobs
-        if not _ATEXIT_REGISTERED:
-            atexit.register(_ambient_pool_teardown)
-            _ATEXIT_REGISTERED = True
-    return _POOL
+    for position, link in enumerate(_POOL):
+        if not link.alive:
+            link.close()
+            _POOL[position] = fork_workers(1)[0]
+    if not _POOL:
+        _POOL.extend(fork_workers(n_jobs))
+    if not _ATEXIT_REGISTERED:
+        atexit.register(_ambient_pool_teardown)
+        _ATEXIT_REGISTERED = True
 
 
 def shutdown_worker_pool() -> None:
@@ -327,9 +271,9 @@ def shutdown_worker_pool() -> None:
     from housekeeping are protected only from the ambient atexit hook
     (:func:`_ambient_pool_teardown`), not from a deliberate call.
 
-    Also tears down the socket backend's half, when it was ever used:
-    worker connections close and loopback ``repro worker``
-    subprocesses are reaped, so no test or shutdown path leaks them.
+    Also tears down the TCP half, when it was ever used: host links
+    close and loopback ``repro worker`` subprocesses are reaped, so no
+    test or shutdown path leaks them.
     """
     with _POOL_LOCK:
         _shutdown_pool_locked()
@@ -339,71 +283,10 @@ def shutdown_worker_pool() -> None:
 
 
 def _shutdown_pool_locked() -> None:
-    global _POOL, _POOL_JOBS, _POOL_SUSPECT
-    if _POOL is not None:
-        if _POOL_SUSPECT:
-            # A worker died on this pool; its shared task queue may be
-            # wedged (see _POOL_SUSPECT), so never close/join — the
-            # survivors might never see their shutdown sentinels. Even
-            # ``Pool.terminate`` is unsafe as-is: its drain helper
-            # acquires the task queue's reader lock, which the victim
-            # may have died *holding*. Kill the surviving workers
-            # first (none can then re-grab the lock), force the
-            # orphaned lock open, and only then terminate.
-            #
-            # The pool respawns every worker that dies, so stop that
-            # first: a replacement forked between the kills and the
-            # drain would take the freed reader lock (the drain then
-            # blocks forever) or read half a task under it (the drain
-            # then unpickles a torn frame).
-            _stop_pool_threads(_POOL)
-            for worker in list(getattr(_POOL, "_pool", [])):
-                if worker.pid is not None:
-                    try:
-                        os.kill(worker.pid, signal.SIGKILL)
-                    except OSError:
-                        pass
-            # A worker can die holding either of two queue locks: the
-            # task queue's reader lock (killed mid-task-read) or the
-            # result queue's writer lock (killed mid-result-send). The
-            # latter wedges ``_terminate_pool`` itself — its sentinel
-            # ``outqueue.put(None)`` acquires that lock. Free both;
-            # releasing an unheld lock raises ValueError and is skipped.
-            for orphaned in (
-                lambda: _POOL._inqueue._rlock,
-                lambda: _POOL._outqueue._wlock,
-            ):
-                try:
-                    orphaned().release()
-                except (AttributeError, ValueError, OSError):
-                    pass  # lock was not held — nothing to free
-            _POOL.terminate()
-        else:
-            _POOL.close()
-        _POOL.join()
-        _POOL = None
-        _POOL_JOBS = 0
-        _POOL_SUSPECT = False
-
-
-def _stop_pool_threads(pool: multiprocessing.pool.Pool) -> None:
-    """Stop ``pool``'s worker-respawn thread; let its task thread finish.
-
-    Stopping the respawn thread also sends the task thread its shutdown
-    sentinel. Waiting a moment for it means the result-queue lock the
-    suspect teardown force-frees is one a dead worker holds, not one
-    the task thread holds mid-send.
-    """
-    pool._worker_handler._state = multiprocessing.pool.TERMINATE
-    pool._change_notifier.put(None)
-    pool._worker_handler.join(timeout=_JOIN_POLL_S)
-    pool._task_handler.join(timeout=_JOIN_POLL_S)
-
-
-def _mark_pool_suspect() -> None:
-    """Record that the live pool may have lost a worker (see above)."""
-    global _POOL_SUSPECT
-    _POOL_SUSPECT = True
+    """Hang up on every forked worker (each exits at EOF) and reap it."""
+    links, _POOL[:] = list(_POOL), []
+    for link in links:
+        link.close()
 
 
 def _ambient_pool_teardown() -> None:
@@ -444,9 +327,9 @@ def claim_worker_pool(jobs: Optional[int] = None) -> int:
         return 1
     with _POOL_LOCK:
         if jobs > 1:
-            _get_pool_locked(jobs)
+            _ensure_pool_locked(jobs)
         _POOL_OWNED = True
-        return _POOL_JOBS if _POOL is not None else 1
+        return len(_POOL) or 1
 
 
 def release_worker_pool() -> None:
@@ -464,58 +347,12 @@ def worker_pool_owned() -> bool:
 
 def worker_pool_size() -> int:
     """Width of the live persistent pool (0 when none is alive)."""
-    return _POOL_JOBS if _POOL is not None else 0
+    return len(_POOL)
 
 
 def worker_pool_pids() -> Tuple[int, ...]:
-    """PIDs of the live persistent pool's workers (diagnostics/tests)."""
-    if _POOL is None:
-        return ()
-    return tuple(sorted(worker.pid for worker in _POOL._pool))
-
-
-def _run_cell(
-    payload: Tuple[Callable[[Any], Any], int, Any, int, Optional[str]]
-) -> Tuple[int, Any, List[Tuple[Any, Any]], int, int, int]:
-    """Worker body: run one cell, report its new cache entries + deltas.
-
-    ``generation`` and ``cache_dir`` carry the parent's cache state:
-    persistent workers outlive sweeps, so before running they drop their
-    in-memory cache if the parent cleared since the fork, and attach the
-    parent's disk tier if it changed (both no-ops in the common case).
-    The returned chunk is the streaming-join unit: the cell's index, its
-    result, the cache entries this cell *computed* in this worker (its
-    loads from the shared disk tier are left out — the parent runs on
-    the same directory), and the hit/miss/disk-hit deltas it incurred.
-    """
-    fn, index, item, generation, cache_dir = payload
-    _simcache.sync_simulation_cache_generation(generation)
-    if _simcache.simulation_cache_dir() != cache_dir:
-        _simcache.configure_simulation_cache_dir(cache_dir)
-    baseline_keys = _simcache.simulation_cache_keys()
-    before = _simcache.simulation_cache_stats()
-    result = fn(item)
-    after = _simcache.simulation_cache_stats()
-    new_entries = _simcache.new_simulation_cache_entries(baseline_keys)
-    return (
-        index,
-        result,
-        new_entries,
-        after.hits - before.hits,
-        after.misses - before.misses,
-        after.disk_hits - before.disk_hits,
-    )
-
-
-def _worker_loss_grace() -> float:
-    """Resolve the worker-loss grace period (env override > default)."""
-    raw = os.environ.get(WORKER_LOSS_GRACE_ENV)
-    if raw is not None:
-        try:
-            return max(0.05, float(raw))
-        except ValueError:
-            pass
-    return WORKER_LOSS_GRACE_DEFAULT_S
+    """PIDs of the pool's live forked workers (diagnostics/tests)."""
+    return tuple(sorted(link.pid for link in list(_POOL) if link.alive))
 
 
 def _serial_stream(
@@ -557,243 +394,6 @@ def _serial_stream(
         )
 
 
-def _parallel_stream(
-    fn: Callable[[_T], _R],
-    items: List[_T],
-    n_jobs: int,
-    progress: Optional[Callable[[int, int], None]],
-    deadline: Optional[float] = None,
-) -> Iterator[Tuple[int, _R]]:
-    """The fanned-out streaming loop: dispatch cells, join as they land.
-
-    Dispatch is windowed (a couple of cells per worker in flight) so an
-    early ``close()`` leaves at most a handful of cells running; those
-    are drained — and their cache deltas merged — before the generator
-    returns, leaving the persistent pool quiescent for the next sweep.
-
-    Worker-loss recovery: queue waits poll so the join can notice the
-    pool's worker PID set changing (the pool respawns a killed worker,
-    but the cells it was running are lost — their callbacks never
-    fire). After a death — or a zero-progress stall, which a worker
-    killed while idle causes without any observable PID change — once
-    no chunk has landed for a grace period
-    (:data:`WORKER_LOSS_GRACE_ENV`), every in-flight cell not yet
-    received is recomputed *in-parent* (the pool's shared task queue
-    may be wedged by the death, so recovery never re-enters it).
-    Receipts are de-duplicated by cell index, so a recovery racing its
-    original's late completion can never double-merge a cache delta or
-    double-yield a row — the sweep's output is identical to a healthy
-    run (the simulator is pure).
-    """
-    global _LAST_EXECUTION, _DISPATCHED_TASKS
-    pre_existing = worker_pool_size()
-    pool = _get_pool(n_jobs)
-    # An owned pool is never rebuilt wider; run at the width we got.
-    n_jobs = min(n_jobs, _POOL_JOBS)
-    reused = 0 < pre_existing and pre_existing >= n_jobs
-    generation = _simcache.simulation_cache_generation()
-    cache_dir = _simcache.simulation_cache_dir()
-    done: "queue.Queue[Any]" = queue.Queue()
-    total = len(items)
-    window = min(total, 2 * n_jobs)
-    submitted = 0
-    in_flight = 0
-    merged = duplicates = hits = misses = disk_hits = 0
-    redispatched = 0
-    received: set = set()
-    outstanding: dict = {}
-    pending: dict = {}
-    next_yield = 0
-    failure: Optional[BaseException] = None
-    grace = _worker_loss_grace()
-    known_pids = set(worker_pool_pids())
-    worker_lost = False
-    last_landing = time.monotonic()
-
-    def submit_index(index: int) -> None:
-        nonlocal in_flight
-        global _DISPATCHED_TASKS
-        payload = (fn, index, items[index], generation, cache_dir)
-        pool.apply_async(
-            _run_cell, (payload,),
-            callback=done.put, error_callback=done.put,
-        )
-        outstanding[index] = outstanding.get(index, 0) + 1
-        in_flight += 1
-        _DISPATCHED_TASKS += 1
-
-    def submit_next() -> None:
-        nonlocal submitted
-        if submitted < total:
-            submit_index(submitted)
-            submitted += 1
-
-    def note_landing(outcome: Any) -> bool:
-        """Bookkeep one queue receipt; True when it is a fresh cell."""
-        nonlocal in_flight, last_landing
-        in_flight -= 1
-        last_landing = time.monotonic()
-        if isinstance(outcome, BaseException):
-            return False
-        index = outcome[0]
-        count = outstanding.get(index, 0) - 1
-        if count > 0:
-            outstanding[index] = count
-        else:
-            outstanding.pop(index, None)
-        if index in received:
-            # A recovery re-dispatch raced its original's completion;
-            # drop the duplicate chunk whole (its entries were merged
-            # the first time — the simulator is pure).
-            return False
-        received.add(index)
-        return True
-
-    def check_worker_loss() -> None:
-        """Notice the pool's worker PID set changing (a death)."""
-        nonlocal known_pids, worker_lost
-        current = set(worker_pool_pids())
-        if current != known_pids:
-            if known_pids - current:
-                worker_lost = True
-                _mark_pool_suspect()
-            known_pids = current
-
-    def quiet_too_long() -> bool:
-        return time.monotonic() - last_landing >= grace
-
-    def stalled_too_long() -> bool:
-        return (
-            time.monotonic() - last_landing
-            >= grace * _STALL_GRACE_FACTOR
-        )
-
-    def lost_indexes() -> list:
-        """In-flight cells with no received result at all."""
-        return sorted(set(outstanding) - received)
-
-    def recover_lost() -> None:
-        """Run every lost cell *in-parent* and feed it the normal way.
-
-        Recovery never re-enters the pool: the death that lost the
-        cells may also have wedged the pool's shared task queue (see
-        :data:`_POOL_SUSPECT`), in which case a resubmitted task would
-        never be delivered to any worker. Running in-parent is always
-        correct — the simulator is pure and receipts de-duplicate by
-        cell index, so a recovered cell racing its original's late
-        completion can never double-merge or double-yield.
-        """
-        nonlocal worker_lost, redispatched, last_landing, in_flight
-        _mark_pool_suspect()
-        for index in lost_indexes():
-            payload = (fn, index, items[index], generation, cache_dir)
-            outstanding[index] = outstanding.get(index, 0) + 1
-            in_flight += 1
-            redispatched += 1
-            try:
-                done.put(_run_cell(payload))
-            except BaseException as error:
-                done.put(error)
-        worker_lost = False
-        last_landing = time.monotonic()
-
-    def absorb(chunk: Any) -> Optional[Tuple[int, Any]]:
-        """Merge one finished cell's cache delta; return (index, result)."""
-        nonlocal merged, duplicates, hits, misses, disk_hits
-        index, result, entries, d_hits, d_misses, d_disk = chunk
-        stats = _simcache.merge_simulation_cache(
-            entries, hits=d_hits, misses=d_misses, disk_hits=d_disk
-        )
-        merged += stats.inserted
-        duplicates += stats.duplicates
-        hits += d_hits
-        misses += d_misses
-        disk_hits += d_disk
-        return index, result
-
-    try:
-        for _ in range(window):
-            submit_next()
-        while len(received) < total and failure is None:
-            if deadline is not None and time.monotonic() >= deadline:
-                # Same early-exit path as a consumer close: stop
-                # dispatching, let the finally block drain in-flight
-                # cells (their cache deltas stay merged), then raise.
-                failure = DeadlineExceededError(
-                    f"sweep deadline passed after {len(received)}/{total} "
-                    "cells"
-                )
-                break
-            try:
-                outcome = done.get(timeout=_JOIN_POLL_S)
-            except queue.Empty:
-                check_worker_loss()
-                if outstanding and (
-                    (worker_lost and quiet_too_long()) or stalled_too_long()
-                ):
-                    recover_lost()
-                continue
-            fresh = note_landing(outcome)
-            if isinstance(outcome, BaseException):
-                failure = outcome
-                break
-            if not fresh:
-                continue
-            try:
-                index, result = absorb(outcome)
-            except Exception as error:  # e.g. a merge bit-equality assert
-                failure = error
-                raise
-            submit_next()
-            if progress is not None:
-                progress(len(received), total)
-            pending[index] = result
-            while next_yield in pending:
-                yield next_yield, pending.pop(next_yield)
-                next_yield += 1
-    finally:
-        # Early close, normal completion, or worker failure all end
-        # here: stop dispatching, drain the in-flight cells so the
-        # persistent pool is idle, and keep their cache deltas (the
-        # simulator is pure — a completed cell's entries are valid
-        # whether or not anyone consumed its result). Cells lost to a
-        # dead worker are abandoned after the grace period instead of
-        # blocking forever — their callbacks will never fire.
-        while in_flight:
-            try:
-                outcome = done.get(timeout=_JOIN_POLL_S)
-            except queue.Empty:
-                check_worker_loss()
-                # Lingering in-flight entries whose index already has a
-                # result are orphans — the original submission of an
-                # in-parent-recovered cell, or a duplicate — and may
-                # never land; don't block the drain on them.
-                if quiet_too_long() and (worker_lost or not lost_indexes()):
-                    break
-                if stalled_too_long():
-                    break
-                continue
-            if not note_landing(outcome):
-                if isinstance(outcome, BaseException) and failure is None:
-                    failure = outcome
-                continue
-            try:
-                absorb(outcome)
-            except Exception as error:  # e.g. a merge bit-equality assert
-                if failure is None:
-                    failure = error
-        _LAST_EXECUTION = SweepExecution(
-            jobs=n_jobs, tasks=total, merged_entries=merged,
-            duplicate_entries=duplicates, worker_hits=hits,
-            worker_misses=misses, worker_disk_hits=disk_hits,
-            pool_reused=reused, completed=len(received),
-            cancelled=failure is None and len(received) < total,
-            redispatched_cells=redispatched,
-        )
-    if failure is not None:
-        raise failure
-
-
 def stream_map(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
@@ -828,10 +428,9 @@ def stream_map(
     """
     items = list(items)
     if len(items) > 1 and not _IN_WORKER:
-        # Socket backend: configured hosts (--hosts / REPRO_SWEEP_HOSTS)
-        # override `jobs` outright — the host list *is* the
-        # parallelism. Imported lazily so the fork-only common case
-        # never touches the remote module.
+        # Configured hosts (--hosts / REPRO_SWEEP_HOSTS) override `jobs`
+        # outright — the host list *is* the parallelism. Imported
+        # lazily so a single-cell sweep never touches the remote module.
         from repro.experiments import remote as _remote
 
         hosts = _remote.active_sweep_hosts()
@@ -842,7 +441,10 @@ def stream_map(
     n_jobs = resolve_jobs(jobs, len(items))
     if n_jobs <= 1:
         return _serial_stream(fn, items, progress, deadline=deadline)
-    return _parallel_stream(fn, items, n_jobs, progress, deadline=deadline)
+    links, reused = _get_pool(n_jobs)
+    return _remote.link_stream(
+        fn, items, links, progress, deadline, backend="fork", reused=reused
+    )
 
 
 def parallel_map(

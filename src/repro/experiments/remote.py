@@ -1,45 +1,58 @@
-"""Socket-transport sweep executor: dispatch cells to host workers.
+"""The sweep executor: worker processes driven over framed sockets.
 
-The second executor backend behind :func:`repro.experiments.parallel
-.stream_map`. Where the fork backend fans cells out to forked pool
-workers on *this* host, this module dispatches contiguous cell
-partitions to N worker processes reachable over TCP — remote hosts
-running the same wheel, or loopback subprocesses spawned by
-:func:`start_loopback_workers` — and streams ``(index, result,
-cache_delta)`` chunks back through the exact same incremental-merge /
-index-sort path, so results are bit-identical to the serial and fork
-paths (the simulator is pure; only warmth and wall-clock differ).
+Every fanned-out sweep runs here, whatever made its workers:
+
+* **forked workers** — with ``jobs > 1`` the parent forks N children,
+  each owning one end of a ``socket.socketpair()``
+  (:func:`fork_workers`, pooled by :mod:`repro.experiments.parallel`);
+* **TCP hosts** — ``repro worker`` processes on this or other machines
+  running the same wheel (``--hosts`` / ``REPRO_SWEEP_HOSTS`` /
+  :func:`configure_sweep_hosts`), including loopback subprocesses from
+  :func:`start_loopback_workers`.
+
+Both run the same worker loop (:func:`_serve_connection`) behind the
+same parent-side :class:`_Link`, and one stream loop
+(:func:`link_stream`) drives both. Results are bit-identical to the
+serial path: the simulator is pure, so only warmth and wall-clock
+differ.
 
 Wire protocol
 -------------
 
 Messages are pickled tuples behind a 4-byte big-endian length prefix
-(``struct "!I"``). Every sweep gets a fresh sequence number carried by
-each message, so stale frames from an aborted sweep are dropped
-instead of corrupting the next one. One handshake + run conversation:
+(``struct "!I"``). Each sweep has a sequence number ``seq`` carried by
+its frames, so several sweeps (the serve daemon's runner threads) share
+one link: each link's reader thread routes a frame to the sweep that
+owns its ``seq``.
 
-* parent → ``("sync", seq, generation)``; worker adopts the cache
-  clear-generation and replies ``("state", seq, fingerprint)`` — its
+* worker → ``("hello", fingerprint)`` once per connection: its result
   schema fingerprint, which must match the parent's.
-* parent → ``("run", seq, fn, cells, deadline_s, parent_digests)``: a
-  contiguous partition of ``(index, item)`` cells. The worker runs
-  them in order, polling for ``("stop",)`` frames and the deadline
-  between cells, and streams back one ``("chunk", seq, index, result,
-  shard_payloads, extra_entries, d_hits, d_misses, d_disk)`` per
-  finished cell — the cache entries the cell added, as **hash-sharded
-  deltas**: each entry is the verbatim on-disk entry payload
-  (:func:`repro.sim.diskcache.encode_entry_payload`) keyed by its
-  ``key_digest``, and entries whose digest is in the parent's snapshot
-  (its memory keys plus its disk tier's digests) never cross the wire
-  — then ``("done", seq, completed)``. A cell exception becomes ``("error",
-  seq, traceback)`` and surfaces in the parent as
-  :class:`repro.errors.RemoteWorkerError`.
+* parent → ``("sweep", seq, fn, generation, cache_dir, digests)``:
+  the cell function and cache state. The worker adopts the parent's
+  cache clear-generation. ``digests is None`` marks a worker that
+  shares the parent's cache tiers (a forked child): it follows the
+  parent's ``cache_dir`` and ships back only the entries a cell
+  computed. A TCP host keeps its own cache configuration and gets the
+  parent's digest set (memory keys plus disk digests) instead: entries
+  cross the wire as **hash-sharded deltas** — verbatim on-disk entry
+  payloads (:func:`repro.sim.diskcache.encode_entry_payload`) keyed by
+  ``key_digest``, minus every digest the parent already holds.
+* parent → ``("cell", seq, index, item)``, at most two in flight per
+  worker per sweep. The worker answers each with ``("chunk", seq,
+  index, result, shards, extras, d_hits, d_misses, d_disk)``, or with
+  ``("error", seq, index, pickled_exception, traceback)`` when the cell
+  raises (the parent re-raises the exception, or
+  :class:`repro.errors.RemoteWorkerError` when it does not unpickle).
+* parent → ``("end", seq)``: the worker drops the sweep's state.
 
-Nothing flows parent → worker except cells: a worker stays warm through
-its own memory cache across sweeps and its own disk tier. A *second*
-sweep over live workers therefore ships ~0 shard bytes — the
-deterministic contiguous partition hands each host the same cells
-again, its memory answers them, and no new entries exist to return.
+A parent stops a sweep (early close, deadline, failure) by sending no
+more cells; the cells in flight drain and their cache deltas merge. A
+worker exits at EOF. Nothing flows parent → worker except cells: a
+worker stays warm through fork inheritance, its own memory cache
+across sweeps and the disk tier. Each worker gets a deterministic
+contiguous home partition, so a second sweep over live TCP hosts
+ships ~0 shard bytes: each host is handed the cells its memory
+already answers.
 
 Trust model
 -----------
@@ -53,12 +66,12 @@ trusted networks only (see ``docs/DISTRIBUTED.md``).
 Failure semantics
 -----------------
 
-Host death mid-sweep is recovered the same way the fork backend
-recovers a SIGKILLed pool worker: the reader thread reports the lost
-connection, and every cell of that host's partition without a received
-result is recomputed *in-parent* (receipts de-duplicate by cell index,
-so a late chunk racing its recompute can never double-merge or
-double-yield). Connection failure at sweep start raises
+A dead worker shows up at once as EOF on its link. Every cell of that
+worker without a received result is recomputed *in-parent*; receipts
+de-duplicate by cell index, so a late chunk racing its recompute can
+never double-merge or double-yield. A dead forked worker is re-forked
+by the next sweep; a dead host is reconnected when it comes back.
+Failure to reach every configured host at sweep start raises
 :class:`repro.errors.ConfigurationError` instead — a sweep that cannot
 reach any configured host should fail loudly, not silently degrade.
 """
@@ -66,10 +79,12 @@ reach any configured host should fail loudly, not silently degrade.
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import pickle
 import queue
 import select
+import signal
 import socket
 import struct
 import subprocess
@@ -77,10 +92,12 @@ import sys
 import threading
 import time
 import traceback
+from collections import deque
 from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -121,35 +138,46 @@ WORKER_READY_PREFIX = "repro worker: listening on "
 #: the whole point of "runs the same wheel").
 _WIRE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Seconds before a parent gives up connecting to a configured host.
+#: Seconds before a parent gives up connecting to a worker (TCP connect
+#: plus the worker's hello frame).
 _CONNECT_TIMEOUT_S = 10.0
 
-#: Seconds the parent waits for every worker's handshake reply.
-_SYNC_TIMEOUT_S = 30.0
-
-#: Poll interval of worker accept/receive loops and the parent's event
-#: waits; bounds shutdown latency, not result latency.
+#: Poll interval of the TCP worker's accept/receive loops; bounds how
+#: long ``repro worker`` takes to notice its stop signal.
 _POLL_S = 0.25
+
+#: Seconds a hung-up forked worker gets to exit before it is killed.
+_REAP_GRACE_S = 1.0
+
+#: Cells in flight per worker per sweep once the worker's first chunk of
+#: the sweep has landed (its first cell goes alone; see link_stream).
+_WINDOW = 2
 
 #: Hosts configured programmatically (CLI/tests); ``None`` means
 #: "unset, fall back to the environment", ``()`` means "explicitly
 #: disabled, even if the environment names hosts".
 _CONFIGURED_HOSTS: Optional[Tuple[str, ...]] = None
 
-#: The persistent worker-pool connections, reused sweep to sweep
-#: (mirrors the fork backend's persistent pool).
+#: The persistent TCP host links, reused sweep to sweep, and the lock
+#: serializing their (re)connection across concurrent sweeps.
 _REMOTE_POOL: Optional["RemoteWorkerPool"] = None
+_REMOTE_LOCK = threading.Lock()
+
+#: Every open parent-side link; a forked child closes its copies.
+_LINKS: Set["_Link"] = set()
 
 #: Loopback worker subprocesses spawned by this process, reaped by
 #: :func:`shutdown_remote_workers`.
 _LOOPBACK_PROCS: List[subprocess.Popen] = []
 
-#: Monotonically increasing sweep sequence number (stale-frame filter).
-_SWEEP_SEQ = 0
+#: Sweep sequence numbers (frame routing).
+_SWEEP_SEQ = itertools.count(1)
 
 #: Cumulative per-host topology counters for this process:
-#: ``host -> {"cells", "delta_bytes_received"}``.
+#: ``host -> {"cells", "delta_bytes_received"}``; concurrent sweeps
+#: update them under the lock.
 _HOST_TOTALS: Dict[str, Dict[str, int]] = {}
+_HOST_TOTALS_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +323,13 @@ def _shard_entries(
     return shards, extras
 
 
-def _merge_shard_payloads(
+def _decode_shards(
     shards: Sequence[Tuple[str, bytes]],
-    extras: Sequence[Tuple[Any, Any]],
-    hits: int = 0,
-    misses: int = 0,
-    disk_hits: int = 0,
-) -> int:
-    """Decode + merge received shards; entries reached (ins + dup).
+) -> List[Tuple[Any, Any]]:
+    """Decode received shards; a shard that fails to decode is dropped.
 
-    A shard that fails to decode (foreign fingerprint, torn payload)
-    is dropped — warmth-only, the entry recomputes in the parent if it
-    is ever needed there.
+    A foreign fingerprint or torn payload costs warmth only: the entry
+    recomputes in the parent if it is ever needed there.
     """
     entries: List[Tuple[Any, Any]] = []
     for _digest, payload in shards:
@@ -314,11 +337,7 @@ def _merge_shard_payloads(
             entries.append(decode_entry_payload(payload))
         except Exception:
             continue
-    entries.extend(extras)
-    stats = _simcache.merge_simulation_cache(
-        entries, hits=hits, misses=misses, disk_hits=disk_hits
-    )
-    return stats.inserted + stats.duplicates
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +350,15 @@ def run_worker_server(
     ready: Optional[Callable[[str, int], None]] = None,
     stop_event: Optional[threading.Event] = None,
 ) -> None:
-    """Serve sweep partitions on ``host:port`` until told to stop.
+    """Serve sweep cells on ``host:port`` until told to stop.
 
     The body of the ``repro worker`` CLI verb. Binds (``port=0`` picks
     a free one), reports the bound address through ``ready``, then
-    accepts one parent connection at a time and serves its handshake /
-    run conversations. The worker uses its *own* cache
-    configuration (its ``--cache-dir`` / ``REPRO_CACHE_DIR``); parents
-    never reach into it beyond shipping deltas. Nested sweeps inside
-    cell tasks degrade to serial exactly as in fork pool workers.
+    accepts one parent connection at a time and runs the worker loop on
+    it. The worker uses its *own* cache configuration (its
+    ``--cache-dir`` / ``REPRO_CACHE_DIR``); parents never reach into it
+    beyond shipping deltas. Nested sweeps inside cell tasks degrade to
+    serial exactly as in forked workers.
     """
     _parallel._mark_worker()
     server = socket.create_server((host, port))
@@ -356,6 +375,8 @@ def run_worker_server(
             except OSError:  # pragma: no cover - listener torn down
                 break
             try:
+                conn.settimeout(None)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 _serve_connection(conn, stop_event)
             except Exception:  # noqa: BLE001 - one bad parent, next accept
                 pass
@@ -369,132 +390,225 @@ def run_worker_server(
 
 
 def _serve_connection(
-    sock: socket.socket, stop_event: Optional[threading.Event]
+    sock: socket.socket, stop_event: Optional[threading.Event] = None
 ) -> None:
-    """One parent's conversation: sync/run frames until EOF."""
+    """The worker loop: one parent's frames until EOF (or the stop)."""
+    _send_frame(sock, ("hello", schema_fingerprint()))
+    sweeps: Dict[int, Tuple[Callable[[Any], Any], Optional[Set[str]]]] = {}
     while True:
-        if stop_event is not None and stop_event.is_set():
-            return
-        readable, _, _ = select.select([sock], [], [], _POLL_S)
-        if not readable:
-            continue
+        if stop_event is not None:
+            if stop_event.is_set():
+                return
+            readable, _, _ = select.select([sock], [], [], _POLL_S)
+            if not readable:
+                continue
         message = _recv_frame(sock)
-        if message is None or message[0] == "bye":
+        if message is None:
             return
-        kind = message[0]
-        if kind == "sync":
-            _, seq, generation = message
+        kind, seq = message[0], message[1]
+        if kind == "cell":
+            _, _, index, item = message
+            _send_frame(sock, _run_cell(seq, sweeps[seq], index, item))
+        elif kind == "sweep":
+            _, _, fn, generation, cache_dir, digests = message
             _simcache.sync_simulation_cache_generation(generation)
-            _send_frame(sock, ("state", seq, schema_fingerprint()))
-        elif kind == "run":
-            _handle_run(sock, message, stop_event)
-        elif kind == "stop":
-            # A stop for a sweep that already drained; nothing to do.
-            pass
+            if (
+                digests is None
+                and _simcache.simulation_cache_dir() != cache_dir
+            ):
+                _simcache.configure_simulation_cache_dir(cache_dir)
+            sweeps[seq] = (fn, digests)
+        elif kind == "end":
+            sweeps.pop(seq, None)
 
 
-def _stop_frame_pending(sock: socket.socket) -> bool:
-    """Drain any already-arrived control frames; True to abandon run."""
-    while True:
-        readable, _, _ = select.select([sock], [], [], 0)
-        if not readable:
-            return False
-        control = _recv_frame(sock)
-        if control is None or control[0] in ("stop", "bye"):
-            return True
+def _run_cell(
+    seq: int,
+    sweep: Tuple[Callable[[Any], Any], Optional[Set[str]]],
+    index: int,
+    item: Any,
+) -> Tuple[Any, ...]:
+    """Worker body: run one cell, frame its result and cache delta.
 
-
-def _handle_run(
-    sock: socket.socket,
-    message: Tuple[Any, ...],
-    stop_event: Optional[threading.Event],
-) -> None:
-    """Run one contiguous partition, streaming a chunk per cell."""
-    _, seq, fn, cells, deadline_s, parent_digests = message
-    deadline = (
-        None if deadline_s is None else time.monotonic() + deadline_s
-    )
-    completed = 0
+    The delta is the entries this cell added to the worker's memory.
+    A worker sharing the parent's cache tiers (``digests is None``)
+    leaves out its loads from the shared disk tier and ships the rest
+    as raw ``(key, value)`` extras. A TCP host shards them, minus every
+    digest the parent (or an earlier chunk of this sweep) already holds.
+    """
+    fn, digests = sweep
+    baseline = _simcache.simulation_cache_keys()
+    before = _simcache.simulation_cache_stats()
     try:
-        for index, item in cells:
-            if stop_event is not None and stop_event.is_set():
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            if _stop_frame_pending(sock):
-                break
-            baseline = _simcache.simulation_cache_keys()
-            before = _simcache.simulation_cache_stats()
-            try:
-                result = fn(item)
-            except Exception:
-                _send_frame(sock, ("error", seq, traceback.format_exc()))
-                break
-            after = _simcache.simulation_cache_stats()
-            new_entries = [
-                (key, value)
-                for key, value in _simcache.export_simulation_cache()
-                if key not in baseline
-            ]
-            shards, extras = _shard_entries(new_entries, parent_digests)
-            # Later cells of this partition need not re-ship what this
-            # chunk already carried (their baselines cover memory, but
-            # the parent set is the authoritative exclude).
-            parent_digests.update(digest for digest, _ in shards)
-            _send_frame(
-                sock,
-                (
-                    "chunk",
-                    seq,
-                    index,
-                    result,
-                    shards,
-                    extras,
-                    after.hits - before.hits,
-                    after.misses - before.misses,
-                    after.disk_hits - before.disk_hits,
-                ),
-            )
-            completed += 1
-    finally:
+        result = fn(item)
+    except Exception as error:
         try:
-            _send_frame(sock, ("done", seq, completed))
-        except OSError:  # pragma: no cover - parent went away mid-run
-            pass
+            blob: Optional[bytes] = pickle.dumps(error, _WIRE_PROTOCOL)
+        except Exception:
+            blob = None
+        return ("error", seq, index, blob, traceback.format_exc())
+    after = _simcache.simulation_cache_stats()
+    if digests is None:
+        shards: List[Tuple[str, bytes]] = []
+        extras = _simcache.new_simulation_cache_entries(baseline)
+    else:
+        computed = [
+            (key, value)
+            for key, value in _simcache.export_simulation_cache()
+            if key not in baseline
+        ]
+        shards, extras = _shard_entries(computed, digests)
+        digests.update(digest for digest, _ in shards)
+    return (
+        "chunk", seq, index, result, shards, extras,
+        after.hits - before.hits,
+        after.misses - before.misses,
+        after.disk_hits - before.disk_hits,
+    )
+
+
+def fork_workers(count: int) -> List["_Link"]:
+    """Fork ``count`` workers, each on a private socketpair.
+
+    Every child marks itself a worker (nested sweeps run serial),
+    restores the default SIGINT/SIGTERM actions, closes every
+    parent-side socket end it inherited, and runs the worker loop until
+    EOF, then ``os._exit``. All children fork before the parent reads
+    their hellos, so their start-ups overlap. Returns the parent's links.
+    """
+    forked: List[Tuple[socket.socket, int]] = []
+    for _ in range(count):
+        parent_end, child_end = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 0
+            try:
+                _parallel._mark_worker()
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                parent_end.close()
+                for inherited, _ in forked:
+                    inherited.close()
+                for link in list(_LINKS):
+                    link.sock.close()
+                _serve_connection(child_end)
+            except BaseException:  # noqa: BLE001 - the parent sees EOF
+                code = 1
+            finally:
+                os._exit(code)
+        child_end.close()
+        forked.append((parent_end, pid))
+    links: List[_Link] = []
+    try:
+        for sock, pid in forked:
+            links.append(_Link(sock, f"fork:{pid}", pid=pid))
+    except BaseException:
+        for link in links:
+            link.close()
+        for sock, pid in forked[len(links):]:
+            sock.close()
+            _reap(pid)
+        raise
+    return links
+
+
+def _reap(pid: int) -> None:
+    """Wait for a forked worker to exit; SIGKILL it after the grace.
+
+    A worker exits at EOF, or at its next send once its cell finishes;
+    one that is hung (or still mid-cell) past :data:`_REAP_GRACE_S` is
+    killed, so teardown is bounded in time.
+    """
+    deadline = time.monotonic() + _REAP_GRACE_S
+    try:
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() >= deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                return
+            time.sleep(0.001)
+    except ChildProcessError:  # pragma: no cover - already reaped
+        pass
 
 
 # ---------------------------------------------------------------------------
-# Parent side: connections and pool
+# Parent side: links
 
 
-class _RemoteConnection:
-    """One live worker link: socket + reader thread feeding the pool."""
+class _Link:
+    """The parent's end of one worker: framed socket + routing reader.
+
+    Construction reads the worker's hello and checks its schema
+    fingerprint. The reader thread then routes each frame to the queue
+    of the sweep owning its ``seq``; at EOF (or a broken stream) it
+    marks the link dead and posts ``("lost",)`` to every attached sweep.
+    """
 
     def __init__(
-        self, host: str, events: "queue.Queue[Tuple[Any, Any]]"
+        self, sock: socket.socket, label: str, pid: Optional[int] = None
     ) -> None:
-        self.host = host
-        self.events = events
-        name, _, port = host.rpartition(":")
-        self.sock = socket.create_connection(
-            (name, int(port)), timeout=_CONNECT_TIMEOUT_S
-        )
-        self.sock.settimeout(None)
+        self.sock = sock
+        self.label = label
+        self.pid = pid
         self.alive = True
         self._send_lock = threading.Lock()
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"repro-remote-{host}",
-            daemon=True,
-        )
-        self._reader.start()
+        self._routes: Dict[int, "queue.Queue[Tuple[_Link, Any]]"] = {}
+        self._routes_lock = threading.Lock()
+        sock.settimeout(_CONNECT_TIMEOUT_S)
+        hello = _recv_frame(sock)
+        sock.settimeout(None)
+        if hello is None or hello[0] != "hello":
+            raise ConnectionError(f"{label} closed before its hello")
+        if hello[1] != schema_fingerprint():
+            sock.close()
+            raise ConfigurationError(
+                f"sweep worker {label} runs a different result schema "
+                f"(fingerprint {hello[1]!r} != {schema_fingerprint()!r}); "
+                "deploy the same wheel on every host"
+            )
+        _LINKS.add(self)
+        threading.Thread(
+            target=self._read_loop, name=f"repro-link-{label}", daemon=True
+        ).start()
+
+    @classmethod
+    def connect(cls, host: str) -> "_Link":
+        """A link to a ``repro worker`` listening at ``host:port``."""
+        name, _, port = host.rpartition(":")
+        try:
+            sock = socket.create_connection(
+                (name, int(port)), timeout=_CONNECT_TIMEOUT_S
+            )
+        except OSError as error:
+            raise ConfigurationError(
+                f"cannot connect to sweep worker at {host!r}: {error}"
+            ) from error
+        # Cell frames are small and go out back to back; Nagle would
+        # hold the second until the first is acknowledged.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            return cls(sock, host)
+        except (OSError, ConnectionError) as error:
+            sock.close()
+            raise ConfigurationError(
+                f"sweep worker at {host!r} sent no hello: {error}"
+            ) from error
+
+    def attach(self, seq: int, route: "queue.Queue[Tuple[_Link, Any]]") -> bool:
+        """Route ``seq``'s frames to ``route``; False if the link is dead."""
+        with self._routes_lock:
+            if not self.alive:
+                return False
+            self._routes[seq] = route
+            return True
+
+    def detach(self, seq: int) -> None:
+        with self._routes_lock:
+            self._routes.pop(seq, None)
 
     def send(self, message: Any) -> bool:
         """Frame + send; False (never raise) when the link is gone."""
-        try:
-            payload = pickle.dumps(message, _WIRE_PROTOCOL)
-        except Exception:  # pragma: no cover - unpicklable task fn
-            raise
+        payload = pickle.dumps(message, _WIRE_PROTOCOL)
         frame = struct.pack("!I", len(payload)) + payload
         with self._send_lock:
             try:
@@ -509,16 +623,21 @@ class _RemoteConnection:
                 message = _recv_frame(self.sock)
                 if message is None:
                     break
-                self.events.put((self, message))
-        except Exception as error:
-            self.events.put((self, ("lost", error)))
-            return
-        self.events.put((self, ("lost", None)))
+                with self._routes_lock:
+                    route = self._routes.get(message[1])
+                if route is not None:
+                    route.put((self, message))
+        except Exception:  # noqa: BLE001 - a broken stream is a lost link
+            pass
+        with self._routes_lock:
+            self.alive = False
+            routes = list(self._routes.values())
+        for route in routes:
+            route.put((self, ("lost",)))
 
-    def close(self, farewell: bool = True) -> None:
-        if farewell and self.alive:
-            self.send(("bye",))
-        self.alive = False
+    def close(self) -> None:
+        """Hang up (the worker exits at EOF) and reap a forked worker."""
+        _LINKS.discard(self)
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -527,66 +646,54 @@ class _RemoteConnection:
             self.sock.close()
         except OSError:  # pragma: no cover - double close
             pass
+        if self.pid is not None:
+            _reap(self.pid)
+            self.pid = None
 
 
 class RemoteWorkerPool:
-    """Persistent connections to one ``hosts`` set, reused per sweep."""
+    """Persistent links to one ``hosts`` set, reused per sweep."""
 
     def __init__(self, hosts: Sequence[str]) -> None:
         self.hosts = tuple(hosts)
-        self.events: "queue.Queue[Tuple[Any, Any]]" = queue.Queue()
-        self.conns: List[_RemoteConnection] = []
-        for host in self.hosts:
-            try:
-                self.conns.append(_RemoteConnection(host, self.events))
-            except OSError as error:
-                self.close()
-                raise ConfigurationError(
-                    f"cannot connect to sweep worker at {host!r}: {error}"
-                ) from error
+        self.links: List[_Link] = []
+        try:
+            for host in self.hosts:
+                self.links.append(_Link.connect(host))
+        except BaseException:
+            self.close()
+            raise
 
-    def live_conns(self) -> List[_RemoteConnection]:
-        return [conn for conn in self.conns if conn.alive]
-
-    def reconnect_dead(self) -> None:
-        """Best-effort revival of links lost in an earlier sweep."""
-        for position, conn in enumerate(self.conns):
-            if conn.alive:
-                continue
-            try:
-                self.conns[position] = _RemoteConnection(
-                    conn.host, self.events
-                )
-            except OSError:
-                pass  # still down; the sweep runs on the survivors
+    def live_links(self) -> List[_Link]:
+        """Live links after a best-effort reconnect of dead ones."""
+        for position, link in enumerate(self.links):
+            if not link.alive:
+                try:
+                    self.links[position] = _Link.connect(link.label)
+                except ConfigurationError:
+                    continue  # still down; the sweep runs on the survivors
+                link.close()
+        return [link for link in self.links if link.alive]
 
     def close(self) -> None:
-        for conn in self.conns:
-            conn.close()
-        self.conns = []
+        for link in self.links:
+            link.close()
+        self.links = []
 
 
-def _get_remote_pool(hosts: Sequence[str]) -> RemoteWorkerPool:
+def _live_host_links(hosts: Sequence[str]) -> Tuple[List[_Link], bool]:
+    """The persistent host links (and whether they pre-existed)."""
     global _REMOTE_POOL
     hosts = tuple(hosts)
-    pool = _REMOTE_POOL
-    if pool is not None and pool.hosts != hosts:
-        pool.close()
-        pool = None
-    if pool is None:
-        pool = RemoteWorkerPool(hosts)
-        _REMOTE_POOL = pool
-    else:
-        pool.reconnect_dead()
-    return pool
-
-
-def remote_pool_hosts() -> Tuple[str, ...]:
-    """Hosts of the live persistent connection pool (diagnostics)."""
-    pool = _REMOTE_POOL
-    if pool is None:
-        return ()
-    return tuple(conn.host for conn in pool.live_conns())
+    with _REMOTE_LOCK:
+        pool = _REMOTE_POOL
+        if pool is not None and pool.hosts != hosts:
+            pool.close()
+            pool = _REMOTE_POOL = None
+        reused = pool is not None
+        if pool is None:
+            pool = _REMOTE_POOL = RemoteWorkerPool(hosts)
+        return pool.live_links(), reused
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +721,7 @@ def start_loopback_workers(
         src_dir + os.pathsep + existing if existing else src_dir
     )
     # A worker must never recurse into socket dispatch for its own
-    # cells (mirrors the fork pool's nested-serial degradation).
+    # cells (mirrors the nested-serial degradation of forked workers).
     env.pop(SWEEP_HOSTS_ENV, None)
     hosts: List[str] = []
     for _ in range(count):
@@ -648,15 +755,16 @@ def loopback_worker_procs() -> List[subprocess.Popen]:
 
 
 def shutdown_remote_workers() -> None:
-    """Close worker connections and reap loopback subprocesses.
+    """Close host links and reap loopback subprocesses.
 
-    Idempotent and safe at any time — the socket-backend half of
+    Idempotent and safe at any time — the TCP half of
     :func:`repro.experiments.parallel.shutdown_worker_pool`, also run
     atexit and on the serve daemon's SIGTERM drain, so no test or
     daemon shutdown leaks a ``repro worker`` process.
     """
     global _REMOTE_POOL
-    pool, _REMOTE_POOL = _REMOTE_POOL, None
+    with _REMOTE_LOCK:
+        pool, _REMOTE_POOL = _REMOTE_POOL, None
     if pool is not None:
         pool.close()
     procs, _LOOPBACK_PROCS[:] = list(_LOOPBACK_PROCS), []
@@ -683,12 +791,13 @@ atexit.register(shutdown_remote_workers)
 # Topology accounting
 
 
-def _note_host_totals(host: str, cells: int = 0, received: int = 0) -> None:
-    totals = _HOST_TOTALS.setdefault(
-        host, {"cells": 0, "delta_bytes_received": 0}
-    )
-    totals["cells"] += cells
-    totals["delta_bytes_received"] += received
+def _note_host_totals(host: str, cells: int, received: int) -> None:
+    with _HOST_TOTALS_LOCK:
+        totals = _HOST_TOTALS.setdefault(
+            host, {"cells": 0, "delta_bytes_received": 0}
+        )
+        totals["cells"] += cells
+        totals["delta_bytes_received"] += received
 
 
 def reset_topology_counters() -> None:
@@ -706,7 +815,8 @@ def executor_topology() -> Dict[str, Any]:
     stays so the report keeps its shape.
     """
     hosts = active_sweep_hosts()
-    per_host = {h: dict(t) for h, t in sorted(_HOST_TOTALS.items())}
+    with _HOST_TOTALS_LOCK:
+        per_host = {h: dict(t) for h, t in sorted(_HOST_TOTALS.items())}
     return {
         "backend": "socket" if hosts else "fork",
         "hosts": list(hosts),
@@ -729,276 +839,227 @@ def remote_stream(
     progress: Optional[Callable[[int, int], None]] = None,
     deadline: Optional[float] = None,
 ) -> Iterator[Tuple[int, Any]]:
-    """The socket-backend streaming loop (see the module docstring).
-
-    Same contract as the fork backend's ``_parallel_stream``: yields
-    ``(index, result)`` in index order as chunks land, merges cache
-    deltas incrementally, honours ``deadline`` and early close, and
-    records a :class:`repro.experiments.parallel.SweepExecution` with
-    ``backend="socket"`` plus per-host cell counts and shard-byte
-    traffic. Host death mid-sweep recomputes the lost cells in-parent.
-    """
-    global _SWEEP_SEQ
-    items = list(items)
-    total = len(items)
-    pre_existing = _REMOTE_POOL is not None
-    pool = _get_remote_pool(hosts)
-    _SWEEP_SEQ += 1
-    seq = _SWEEP_SEQ
-    generation = _simcache.simulation_cache_generation()
-    cache_dir = _simcache.simulation_cache_dir()
-
-    # -- handshake: every live worker must run the same schema ------------
-    conns = pool.live_conns()
-    awaiting = []
-    for conn in conns:
-        if conn.send(("sync", seq, generation)):
-            awaiting.append(conn)
-        else:
-            conn.alive = False
-    ready: Set[_RemoteConnection] = set()
-    sync_deadline = time.monotonic() + _SYNC_TIMEOUT_S
-    while len(ready) < len(awaiting) and time.monotonic() < sync_deadline:
-        remaining = [c for c in awaiting if c not in ready and c.alive]
-        if not remaining:
-            break
-        try:
-            conn, message = pool.events.get(timeout=_POLL_S)
-        except queue.Empty:
-            continue
-        if conn not in awaiting or conn in ready:
-            continue
-        kind = message[0]
-        if kind == "lost":
-            conn.alive = False
-        elif kind == "state" and message[1] == seq:
-            fingerprint = message[2]
-            if fingerprint != schema_fingerprint():
-                raise ConfigurationError(
-                    f"sweep worker {conn.host} runs a different result "
-                    f"schema (fingerprint {fingerprint!r} != "
-                    f"{schema_fingerprint()!r}); deploy the same wheel "
-                    "on every host"
-                )
-            ready.add(conn)
-    conns = [conn for conn in awaiting if conn in ready and conn.alive]
-    if not conns:
+    """Stream a sweep over the configured TCP ``hosts``."""
+    links, reused = _live_host_links(hosts)
+    if not links:
         raise ConfigurationError(
-            "no live sweep workers among configured hosts "
-            f"{tuple(pool.hosts)!r}"
+            f"no live sweep workers among configured hosts {tuple(hosts)!r}"
         )
+    return link_stream(
+        fn, list(items), links, progress, deadline,
+        backend="socket", reused=reused, digests=_local_digest_set(),
+    )
 
-    # -- partition and dispatch -------------------------------------------
-    partitions: Dict[_RemoteConnection, List[int]] = {}
-    base, extra = divmod(total, len(conns))
+
+def link_stream(
+    fn: Callable[[Any], Any],
+    items: List[Any],
+    links: Sequence[_Link],
+    progress: Optional[Callable[[int, int], None]],
+    deadline: Optional[float],
+    backend: str,
+    reused: bool,
+    digests: Optional[Set[str]] = None,
+) -> Iterator[Tuple[int, Any]]:
+    """The one streaming loop: yield ``(index, result)`` in index order.
+
+    Each link gets a contiguous home partition. Its first cell goes
+    alone; once that chunk lands it keeps :data:`_WINDOW` cells in
+    flight. Workers sharing the parent's cache (``digests is None``)
+    whose home runs dry take unsent cells from the back of the longest
+    other home, so one slow cell never strands cells queued behind it;
+    TCP hosts keep strictly to their homes, where their own caches are
+    warm. Cache deltas merge as chunks land.
+
+    An early close, a passed ``deadline`` or a failure stops sending;
+    the cells in flight drain and their deltas merge before the
+    generator returns (then ``("end", seq)`` frees the workers' sweep
+    state). A lost link's cells without a received result recompute
+    in-parent. Records a :class:`~repro.experiments.parallel.
+    SweepExecution` for ``backend``.
+    """
+    total = len(items)
+    seq = next(_SWEEP_SEQ)
+    events: "queue.Queue[Tuple[_Link, Any]]" = queue.Queue()
+    steal = digests is None
+    homes: Dict[_Link, Deque[int]] = {}
     start = 0
-    for position, conn in enumerate(conns):
+    base, extra = divmod(total, len(links))
+    for position, link in enumerate(links):
         size = base + (1 if position < extra else 0)
-        partitions[conn] = list(range(start, start + size))
+        homes[link] = deque(range(start, start + size))
         start += size
-    parent_digests = _local_digest_set()
-    dispatch_failed: List[_RemoteConnection] = []
-    for conn, part in partitions.items():
-        if not part:
-            continue
-        deadline_s = (
-            None
-            if deadline is None
-            else max(0.0, deadline - time.monotonic())
-        )
-        cells = [(index, items[index]) for index in part]
-        sent_ok = conn.send(
-            ("run", seq, fn, cells, deadline_s, set(parent_digests))
-        )
-        if not sent_ok:
-            conn.alive = False
-            dispatch_failed.append(conn)
-
-    # -- stream chunks back, in-parent recovery for lost hosts -------------
+    in_flight: Dict[_Link, Set[int]] = {link: set() for link in links}
+    landed: Set[_Link] = set()
+    lost: Set[_Link] = set()
+    to_recover: List[int] = []
     received: Set[int] = set()
     pending: Dict[int, Any] = {}
     next_yield = 0
     merged = duplicates = hits = misses = disk_hits = 0
-    redispatched = 0
-    bytes_received = 0
-    host_cells: Dict[str, int] = {conn.host: 0 for conn in conns}
-    finished: Set[_RemoteConnection] = set()
+    redispatched = bytes_received = 0
+    host_cells: Dict[str, int] = {}
     failure: Optional[BaseException] = None
 
-    def absorb_local(chunk: Tuple[Any, ...]) -> Tuple[int, Any]:
-        """Merge one in-parent recompute's raw delta (fork-path shape)."""
-        nonlocal merged, duplicates, hits, misses, disk_hits
-        index, result, entries, d_hits, d_misses, d_disk = chunk
+    def lose(link: _Link) -> None:
+        """Hand a dead link's unreceived cells to in-parent recovery."""
+        if link not in lost:
+            lost.add(link)
+            to_recover.extend(sorted(in_flight.pop(link, ())))
+            to_recover.extend(homes.pop(link, ()))
+
+    def take(link: _Link) -> Optional[int]:
+        own = homes.get(link)
+        if own:
+            return own.popleft()
+        if steal:
+            longest = max(homes.values(), key=len, default=None)
+            if longest:
+                return longest.pop()
+        return None
+
+    def fill(link: _Link) -> None:
+        window = _WINDOW if link in landed else 1
+        while link not in lost and len(in_flight[link]) < window:
+            index = take(link)
+            if index is None:
+                return
+            if not link.send(("cell", seq, index, items[index])):
+                to_recover.append(index)
+                lose(link)
+                return
+            in_flight[link].add(index)
+            _parallel._count_dispatch()
+
+    def absorb(link: _Link, message: Tuple[Any, ...]) -> None:
+        nonlocal merged, duplicates, hits, misses, disk_hits, bytes_received
+        (_, _, index, result, shards, extras,
+         d_hits, d_misses, d_disk) = message
+        in_flight.get(link, set()).discard(index)
+        landed.add(link)
+        if index in received:
+            return
+        shard_bytes = sum(len(payload) for _, payload in shards)
         stats = _simcache.merge_simulation_cache(
-            entries, hits=d_hits, misses=d_misses, disk_hits=d_disk
+            _decode_shards(shards) + list(extras),
+            hits=d_hits, misses=d_misses, disk_hits=d_disk,
         )
         merged += stats.inserted
         duplicates += stats.duplicates
         hits += d_hits
         misses += d_misses
         disk_hits += d_disk
-        return index, result
+        received.add(index)
+        pending[index] = result
+        if backend == "socket":
+            bytes_received += shard_bytes
+            host_cells[link.label] = host_cells.get(link.label, 0) + 1
+            _note_host_totals(link.label, cells=1, received=shard_bytes)
+        if progress is not None:
+            progress(len(received), total)
 
-    def recover_indexes(indexes: List[int]) -> Iterator[Tuple[int, Any]]:
-        """Recompute lost cells in-parent; yields rows come due."""
-        nonlocal redispatched, failure, next_yield
-        for index in indexes:
-            if index in received or failure is not None:
-                continue
-            if deadline is not None and time.monotonic() >= deadline:
-                failure = DeadlineExceededError(
-                    f"sweep deadline passed after {len(received)}/{total}"
-                    " cells"
-                )
-                return
+    def cell_failure(link: _Link, message: Tuple[Any, ...]) -> BaseException:
+        _, _, index, blob, remote_traceback = message
+        in_flight.get(link, set()).discard(index)
+        if blob is not None:
             try:
-                chunk = _parallel._run_cell(
-                    (fn, index, items[index], generation, cache_dir)
+                return pickle.loads(blob)
+            except Exception:  # noqa: BLE001 - fall back to the text
+                pass
+        return RemoteWorkerError(
+            f"sweep worker {link.label} failed a cell:\n{remote_traceback}"
+        )
+
+    def expired() -> bool:
+        nonlocal failure
+        if deadline is not None and time.monotonic() >= deadline:
+            failure = DeadlineExceededError(
+                f"sweep deadline passed after {len(received)}/{total} cells"
+            )
+            return True
+        return False
+
+    try:
+        generation = _simcache.simulation_cache_generation()
+        cache_dir = _simcache.simulation_cache_dir()
+        for link in links:
+            if not (
+                link.attach(seq, events)
+                and link.send(
+                    ("sweep", seq, fn, generation, cache_dir, digests)
                 )
-            except BaseException as error:  # noqa: BLE001
-                failure = error
-                return
-            redispatched += 1
-            index, result = absorb_local(chunk)
-            received.add(index)
-            if progress is not None:
-                progress(len(received), total)
-            pending[index] = result
+            ):
+                lose(link)
+        for link in links:
+            fill(link)
+        while len(received) < total and failure is None:
+            if expired():
+                break
+            if to_recover:
+                index = to_recover.pop(0)
+                if index in received:
+                    continue
+                try:
+                    result = fn(items[index])
+                except Exception as error:
+                    failure = error
+                    break
+                redispatched += 1
+                received.add(index)
+                pending[index] = result
+                if progress is not None:
+                    progress(len(received), total)
+            else:
+                timeout = (
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+                try:
+                    link, message = events.get(timeout=timeout)
+                except queue.Empty:
+                    continue
+                kind = message[0]
+                if kind == "lost":
+                    lose(link)
+                    continue
+                if kind == "error":
+                    failure = cell_failure(link, message)
+                    break
+                absorb(link, message)
+                fill(link)
             while next_yield in pending:
                 yield next_yield, pending.pop(next_yield)
                 next_yield += 1
-
-    try:
-        for conn in dispatch_failed:
-            yield from recover_indexes(partitions[conn])
-        while len(received) < total and failure is None:
-            if deadline is not None and time.monotonic() >= deadline:
-                failure = DeadlineExceededError(
-                    f"sweep deadline passed after {len(received)}/{total}"
-                    " cells"
-                )
-                break
-            live_unfinished = [
-                conn
-                for conn in partitions
-                if conn.alive and conn not in finished
-            ]
-            if not live_unfinished:
-                # Every host is done or dead yet cells are missing
-                # (a worker stopped at its deadline slightly before
-                # ours, or died without a lost event): finish in-parent.
-                yield from recover_indexes(
-                    [i for i in range(total) if i not in received]
-                )
-                continue
-            try:
-                conn, message = pool.events.get(timeout=_POLL_S)
-            except queue.Empty:
-                continue
-            if conn not in partitions:
-                continue
-            kind = message[0]
-            if kind == "lost":
-                if conn.alive:
-                    conn.alive = False
-                    yield from recover_indexes(partitions[conn])
-                continue
-            if len(message) < 2 or message[1] != seq:
-                continue
-            if kind == "chunk":
-                (_, _, index, result, shards, extras,
-                 d_hits, d_misses, d_disk) = message
-                if index in received:
-                    continue
-                shard_bytes = sum(len(p) for _, p in shards)
-                bytes_received += shard_bytes
-                _note_host_totals(
-                    conn.host, cells=1, received=shard_bytes
-                )
-                reached = _merge_shard_payloads(
-                    shards, extras,
-                    hits=d_hits, misses=d_misses, disk_hits=d_disk,
-                )
-                merged += reached
-                hits += d_hits
-                misses += d_misses
-                disk_hits += d_disk
-                received.add(index)
-                host_cells[conn.host] = host_cells.get(conn.host, 0) + 1
-                if progress is not None:
-                    progress(len(received), total)
-                pending[index] = result
-                while next_yield in pending:
-                    yield next_yield, pending.pop(next_yield)
-                    next_yield += 1
-            elif kind == "done":
-                finished.add(conn)
-            elif kind == "error":
-                finished.add(conn)
-                if failure is None:
-                    failure = RemoteWorkerError(
-                        f"sweep worker {conn.host} failed a cell:\n"
-                        f"{message[2]}"
-                    )
+    except Exception as error:  # e.g. a merge bit-equality assert
+        failure = error
+        raise
     finally:
-        # Early close, deadline, or failure: stop the workers, then
-        # drain until each live partitioned link confirms it is
-        # quiescent (done/error) so the persistent connections stay
-        # frame-aligned for the next sweep. Cache deltas of late
-        # chunks are kept — the simulator is pure.
-        if len(received) < total:
-            for conn in partitions:
-                if conn.alive and conn not in finished:
-                    if not conn.send(("stop",)):
-                        conn.alive = False
-        drain_deadline = time.monotonic() + _SYNC_TIMEOUT_S
-        while (
-            any(c.alive and c not in finished for c in partitions)
-            and time.monotonic() < drain_deadline
-        ):
-            try:
-                conn, message = pool.events.get(timeout=_POLL_S)
-            except queue.Empty:
-                continue
-            if conn not in partitions:
-                continue
-            kind = message[0]
-            if kind == "lost":
-                conn.alive = False
-                continue
-            if len(message) < 2 or message[1] != seq:
-                continue
-            if kind == "chunk":
-                (_, _, index, _result, shards, extras,
-                 d_hits, d_misses, d_disk) = message
-                shard_bytes = sum(len(p) for _, p in shards)
-                bytes_received += shard_bytes
-                _note_host_totals(conn.host, received=shard_bytes)
-                _merge_shard_payloads(
-                    shards, extras,
-                    hits=d_hits, misses=d_misses, disk_hits=d_disk,
-                )
-                if index not in received:
-                    received.add(index)
-                    host_cells[conn.host] = (
-                        host_cells.get(conn.host, 0) + 1
-                    )
-                    _note_host_totals(conn.host, cells=1)
-            elif kind in ("done", "error"):
-                finished.add(conn)
-        for conn in partitions:
-            if conn.alive and conn not in finished:
-                # Desynced beyond repair; reconnect next sweep.
-                conn.close(farewell=False)
+        while any(in_flight.values()):
+            link, message = events.get()
+            if message[0] == "lost":
+                lose(link)
+            elif message[0] == "error":
+                error = cell_failure(link, message)
+                if failure is None:
+                    failure = error
+            else:
+                absorb(link, message)
+        for link in links:
+            link.detach(seq)
+            if link not in lost:
+                link.send(("end", seq))
         _parallel._LAST_EXECUTION = _parallel.SweepExecution(
-            jobs=len(conns), tasks=total, merged_entries=merged,
+            jobs=len(links), tasks=total, merged_entries=merged,
             duplicate_entries=duplicates, worker_hits=hits,
             worker_misses=misses, worker_disk_hits=disk_hits,
-            pool_reused=pre_existing, completed=len(received),
+            pool_reused=reused, completed=len(received),
             cancelled=failure is None and len(received) < total,
             redispatched_cells=redispatched,
-            backend="socket",
-            hosts=tuple(conn.host for conn in conns),
+            backend=backend,
+            hosts=(
+                tuple(link.label for link in links)
+                if backend == "socket" else ()
+            ),
             host_cells=tuple(sorted(host_cells.items())),
             delta_bytes_received=bytes_received,
         )

@@ -62,6 +62,7 @@ duplicate is dropped.
 from __future__ import annotations
 
 import enum
+import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -525,6 +526,15 @@ class SimulationCache:
 
 #: The process-wide cache behind ``simulate_tile_stream``.
 _GLOBAL_CACHE = SimulationCache(maxsize=512)
+
+# A worker forked while another thread holds the cache lock would
+# inherit it held forever; hold it across every fork instead.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_GLOBAL_CACHE._lock.acquire,
+        after_in_parent=_GLOBAL_CACHE._lock.release,
+        after_in_child=_GLOBAL_CACHE._lock.release,
+    )
 
 
 def cached_tile_stream(

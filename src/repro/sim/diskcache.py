@@ -190,6 +190,28 @@ _DIGEST_MEMO_MAX = 4096
 _digest_memo: Dict[int, Tuple[Any, str]] = {}
 _digest_memo_lock = threading.Lock()
 
+#: Guards every :class:`DiskCache`'s diagnostic counters. File
+#: operations themselves are safe via atomic rename, but SimulationCache
+#: calls load()/store() outside its own lock.
+_counter_lock = threading.Lock()
+
+# A sweep worker forked while another thread holds one of these locks
+# would inherit it held forever; hold them across every fork instead.
+if hasattr(os, "register_at_fork"):
+    def _acquire_fork_locks() -> None:
+        _digest_memo_lock.acquire()
+        _counter_lock.acquire()
+
+    def _release_fork_locks() -> None:
+        _counter_lock.release()
+        _digest_memo_lock.release()
+
+    os.register_at_fork(
+        before=_acquire_fork_locks,
+        after_in_parent=_release_fork_locks,
+        after_in_child=_release_fork_locks,
+    )
+
 
 def key_digest(key: Hashable) -> str:
     """SHA-256 hex digest of a simulation key, stable across processes.
@@ -221,7 +243,7 @@ def schema_fingerprint() -> str:
     types it transitively embeds, plus :data:`MODEL_REVISION`. Adding,
     removing, renaming, or re-typing a field, or bumping the model
     revision, changes the fingerprint — and with it the schema
-    directory name and the socket executor's handshake — so old entries
+    directory name and a sweep worker's hello frame — so old entries
     are invalidated wholesale without ever being read. (Imports are
     local to dodge the import cycle: ``pipeline`` imports ``cache``
     which imports this module.)
@@ -341,10 +363,6 @@ class DiskCache:
         )
         os.close(probe_fd)
         os.unlink(probe_path)
-        # Counter lock only: file operations themselves are safe via
-        # atomic rename, but SimulationCache calls load()/store()
-        # outside its own lock, so the diagnostics need their own.
-        self._counter_lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._errors = 0
@@ -353,7 +371,7 @@ class DiskCache:
         self._pack_commits = 0
 
     def _count(self, counter: str) -> None:
-        with self._counter_lock:
+        with _counter_lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
     @property

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import pathlib
 import signal
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +34,48 @@ def pytest_runtest_makereport(item, call):
             f"{item.nodeid} took {report.duration:.1f} s, over the "
             f"{TEST_TIME_BUDGET_S:.0f} s per-test time budget "
             "(TEST_TIME_BUDGET_S in tests/conftest.py)"
+        )
+
+
+#: How long a forked sweep worker may outlive ``shutdown_worker_pool``
+#: (seconds) before the test that left it behind fails.
+WORKER_EXIT_GRACE_S = 1.0
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def _reap_sweep_workers():
+    """Tear down sweep workers after every test; fail if any survive.
+
+    A pool left alive would carry its workers, and their warm caches,
+    into the next test. Teardown must leave no forked worker running
+    and no loopback ``repro worker`` subprocess unreaped.
+    """
+    yield
+    from repro.experiments import parallel
+
+    pids = parallel.worker_pool_pids()
+    parallel.shutdown_worker_pool()
+    deadline = time.monotonic() + WORKER_EXIT_GRACE_S
+    survivors = [pid for pid in pids if _pid_alive(pid)]
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.01)
+        survivors = [pid for pid in survivors if _pid_alive(pid)]
+    assert not survivors, (
+        f"pool workers {survivors} outlived shutdown_worker_pool() by "
+        f"{WORKER_EXIT_GRACE_S:.0f} s"
+    )
+    remote = sys.modules.get("repro.experiments.remote")
+    if remote is not None:
+        assert not remote.loopback_worker_procs(), (
+            "loopback workers outlived shutdown_worker_pool()"
         )
 
 
@@ -79,9 +123,9 @@ def kill_pool_worker():
     Returns a callable that picks a worker of the process-wide pool
     (the lowest PID by default, or a caller-chosen one) and kills it
     outright, simulating an OOM-killed / crashed worker mid-sweep. The
-    pool's maintenance thread respawns a replacement, but any cells the
-    victim was running are lost — exercising the executor's worker-loss
-    recovery. Returns the victim's PID.
+    parent sees EOF on the victim's socket; any cells it was running
+    recompute in-parent, and the next sweep re-forks it. Returns the
+    victim's PID.
     """
     from repro.experiments.parallel import worker_pool_pids
 

@@ -6,6 +6,8 @@ run, in the same order, and folds every worker's new cache entries back
 into the parent keyed by the same ``simulation_key``.
 """
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -465,3 +467,74 @@ class TestStreamDeadline:
         results = list(stream_map(_sleepy, [(i, 0.0) for i in range(3)],
                                   jobs=1))
         assert results == [(0, 0), (1, 1), (2, 2)]
+
+
+def _hold_cache_locks(stop, disk):
+    """Take the cache and disk-tier locks over and over until ``stop``."""
+    from repro.sim.diskcache import key_digest
+
+    n = 0
+    while not stop.is_set():
+        simulation_cache_stats()
+        disk.stats()
+        disk._count("_hits")
+        key_digest(("fork-safety", n))
+        n += 1
+
+
+class TestForkSafety:
+    def test_workers_forked_under_lock_traffic_never_wedge(
+        self, hbm, tmp_path
+    ):
+        """A worker forked while another thread holds a cache lock runs.
+
+        Forked workers take the parent's memory cache and disk tier with
+        them; a lock another thread held at the fork would stay held in
+        the child forever, and its first cell would never answer. Fork
+        a fresh pool many times while a thread churns those locks.
+        """
+        import threading
+
+        from repro.sim.cache import (
+            configure_simulation_cache_dir,
+            simulation_cache_disk,
+        )
+
+        configure_simulation_cache_dir(str(tmp_path))
+        stop = threading.Event()
+        churn = threading.Thread(
+            target=_hold_cache_locks,
+            args=(stop, simulation_cache_disk()),
+        )
+        tasks = [(hbm, float(size)) for size in (130, 230, 330, 430)]
+        outcome = []
+
+        def forks():
+            for _ in range(20):
+                if stop.is_set():
+                    return
+                shutdown_worker_pool()
+                clear_simulation_cache()
+                outcome.append(parallel_map(_simulate_item, tasks, jobs=2))
+
+        sweeps = threading.Thread(target=forks)
+        churn.start()
+        sweeps.start()
+        try:
+            sweeps.join(timeout=15)
+            wedged = sweeps.is_alive()
+        finally:
+            stop.set()
+            for _ in range(30):  # free a wedged sweep: EOF from its workers
+                if not sweeps.is_alive():
+                    break
+                for pid in worker_pool_pids():
+                    os.kill(pid, signal.SIGKILL)
+                sweeps.join(timeout=1)
+            churn.join(timeout=10)
+            shutdown_worker_pool()
+            configure_simulation_cache_dir(None)
+            clear_simulation_cache()
+        assert not wedged, "a forked worker inherited a held cache lock"
+        assert len(outcome) == 20
+        assert all(result == outcome[0] for result in outcome)

@@ -12,11 +12,15 @@ are recomputed in-parent, and ``shutdown_worker_pool`` reaps the
 loopback subprocesses.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import remote
 from repro.experiments.parallel import (
+    dispatched_task_count,
     fork_available,
     last_sweep_execution,
     shutdown_worker_pool,
@@ -129,6 +133,57 @@ class TestBitEquality:
         remote.configure_sweep_hosts(hosts)
         with pytest.raises(DeadlineExceededError):
             list(spec.stream(jobs=1, batch=False, deadline=0.0))
+
+
+class TestConcurrentSweeps:
+    @pytest.mark.parametrize("transport", ["loopback", "fork"])
+    def test_two_threads_sweep_the_same_workers(self, transport):
+        """Two sweeps at once share the workers; frames route by seq."""
+        specs = {name: _make_spec(name) for name in ("grid", "dse")}
+        serial = {
+            name: spec.run(jobs=1, batch=False)
+            for name, spec in specs.items()
+        }
+        clear_simulation_cache()
+        if transport == "loopback":
+            remote.configure_sweep_hosts(remote.start_loopback_workers(2))
+        remote.reset_topology_counters()
+        results = {}
+        errors = []
+        barrier = threading.Barrier(len(specs))
+
+        def sweep(name):
+            try:
+                barrier.wait(timeout=10)
+                results[name] = specs[name].run(jobs=2, batch=False)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=sweep, args=(name,)) for name in specs
+        ]
+        dispatched_before = dispatched_task_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for name in specs:
+            assert results_bit_equal(serial[name], results[name]), name
+        # Shared counters lose no update: every cell was sent once and,
+        # on TCP hosts, counted once in the topology.
+        cells = sum(spec.cell_count for spec in specs.values())
+        assert dispatched_task_count() - dispatched_before == cells
+        host_cells = remote.executor_topology()["host_cells"]
+        assert sum(host_cells.values()) == (
+            cells if transport == "loopback" else 0
+        )
 
 
 class TestRecovery:
