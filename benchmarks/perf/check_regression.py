@@ -23,7 +23,7 @@ sweep must leave >=50% of its grid's pool tasks undispatched.
 TCP workers must stay within 2x of forked workers on the same
 protocol, and a warm
 replay on live socket workers must re-ship at most 10% of the cold
-run's cache-shard bytes. Anchors in ``RECORD_ONLY_BENCHMARKS`` (the
+run's cache-delta bytes. Anchors in ``RECORD_ONLY_BENCHMARKS`` (the
 end-to-end CLI wall time) are recorded for the trajectory and never
 gated. On a single-CPU machine the parallel scaling gate is skipped
 with a printed reason rather than silently passed, and
@@ -240,21 +240,21 @@ def _ratio_floor_failures(recorded: dict, fresh: dict) -> "list[str]":
 RATIO_CEILINGS = {
     # Forked workers and TCP hosts speak the same frames; dispatching
     # a dispatch-bound grid through 2 loopback TCP workers adds only
-    # what TCP hosts do on top (subprocess workers, the per-sweep
-    # digest set, hash-sharded deltas), which must stay within 2x of
-    # the 2 forked workers — above that the TCP path is re-shipping
-    # state per cell instead of amortizing it.
+    # what TCP hosts do on top (subprocess workers, a TCP stack),
+    # which must stay within 2x of the 2 forked workers — above that
+    # the TCP path is re-shipping state per cell instead of
+    # amortizing it.
     "remote_dispatch_overhead": (
         "dispatch_overhead_ratio", 2.0,
         "loopback TCP workers cost more than 2x forked workers",
     ),
-    # A warm replay on live socket workers must ship almost no shard
-    # bytes: workers dedup their deltas against the parent's digest
-    # set, so re-sending more than 10% of the cold transfer means
-    # dedup has silently stopped recognizing entries.
+    # A warm replay on live socket workers must ship almost no delta
+    # bytes: each host is handed the cells its memory already answers
+    # and ships only entries a cell computed, so re-sending more than
+    # 10% of the cold transfer means hosts are recomputing cells.
     "remote_delta_dedup": (
         "warm_shard_bytes_ratio", 0.1,
-        "warm socket replay re-ships cache shards dedup should skip",
+        "warm socket replay re-ships cache deltas its hosts already hold",
     ),
 }
 

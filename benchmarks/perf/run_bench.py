@@ -740,7 +740,7 @@ def run_benchmarks(
             "cpu_count": float(os.cpu_count() or 1),
         }
 
-    # --- socket executor: warm replay ships ~0 shard bytes -------------
+    # --- socket executor: warm replay ships ~0 delta bytes -------------
     if want("remote_delta_dedup"):
         from repro.experiments import remote
         from repro.experiments.grid import grid_spec
@@ -759,39 +759,31 @@ def run_benchmarks(
             start = time.perf_counter()
             cold_rows = sum(1 for _ in spec.stream(jobs=1, batch=False))
             cold_s = time.perf_counter() - start
-            cold_exec = last_sweep_execution()
-            cold_bytes = (
-                cold_exec.delta_bytes_sent
-                + cold_exec.delta_bytes_received
-            )
+            cold_bytes = last_sweep_execution().delta_bytes_received
             # One untimed replay first: the deterministic contiguous
             # partition hands each host the same half it computed cold,
             # so every replay is answered from worker memory. The
-            # measured warm replay then runs on settled hosts, where
-            # dedup should leave ~nothing to ship.
+            # measured warm replay then runs on settled hosts, where no
+            # cell computes an entry, so ~nothing ships.
             sum(1 for _ in spec.stream(jobs=1, batch=False))
             start = time.perf_counter()
             warm_rows = sum(1 for _ in spec.stream(jobs=1, batch=False))
             warm_s = time.perf_counter() - start
-            warm_exec = last_sweep_execution()
-            warm_bytes = (
-                warm_exec.delta_bytes_sent
-                + warm_exec.delta_bytes_received
-            )
+            warm_bytes = last_sweep_execution().delta_bytes_received
         finally:
             remote.configure_sweep_hosts(None)
             shutdown_worker_pool()
         clear_simulation_cache()
         assert cold_rows == warm_rows, (cold_rows, warm_rows)
-        assert cold_bytes > 0, "cold socket sweep moved no shard bytes"
+        assert cold_bytes > 0, "cold socket sweep moved no delta bytes"
         results["remote_delta_dedup"] = {
             "after_s": warm_s,
             "cold_s": cold_s,
             "cold_delta_bytes": float(cold_bytes),
             "warm_delta_bytes": float(warm_bytes),
-            # Workers dedup their deltas against the parent's digest
-            # set, so a warm replay on live workers should ship ~none
-            # of the cold run's shard traffic again.
+            # Workers ship only the entries a cell computed, so a warm
+            # replay on live workers should ship ~none of the cold
+            # run's delta traffic again.
             "warm_shard_bytes_ratio": warm_bytes / max(cold_bytes, 1),
             "cpu_count": float(os.cpu_count() or 1),
         }
@@ -976,7 +968,7 @@ def main(argv=None) -> int:
         if "warm_shard_bytes_ratio" in entry:
             line += (
                 f"  {entry['warm_shard_bytes_ratio']:.1%} of "
-                f"{entry['cold_delta_bytes']:.0f} cold shard bytes "
+                f"{entry['cold_delta_bytes']:.0f} cold delta bytes "
                 "re-shipped warm"
             )
         if "import_share" in entry:

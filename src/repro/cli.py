@@ -629,7 +629,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     the ready line parents and supervisors parse; then serves cell
     partitions until signalled. The worker uses its *own* cache
     configuration (``--cache-dir`` / ``REPRO_CACHE_DIR``) — parents
-    exchange cache state with it only as hash-sharded deltas.
+    only receive the cache entries its cells compute.
     """
     import signal
     import threading

@@ -30,6 +30,10 @@ loop. Only the way a worker link is made differs:
   ``repro worker`` processes over TCP instead. The host list overrides
   ``jobs``: the hosts *are* the parallelism.
 
+:func:`sweep_workers` makes that choice, once, for every sweep: both
+:func:`stream_map` and the batched executor in
+:mod:`repro.experiments.sweepspec` ask it.
+
 Either way each worker gets a contiguous partition of the cells, with a
 couple in flight at a time; chunks stream back as cells finish, the
 parent merges each cell's cache delta via
@@ -171,11 +175,8 @@ class SweepExecution:
     #: cells each completed (empty for serial/fork sweeps).
     hosts: Tuple[str, ...] = ()
     host_cells: Tuple[Tuple[str, int], ...] = ()
-    #: Hash-sharded cache-delta traffic of a socket sweep (shard
-    #: payload bytes, each direction; 0 for serial/fork sweeps). The
-    #: parent ships no entries to workers, so ``delta_bytes_sent`` is
-    #: always 0; it stays so reports keep their shape.
-    delta_bytes_sent: int = 0
+    #: Bytes of pickled cache-delta blobs the workers shipped back (0
+    #: for serial sweeps and for warm replays).
     delta_bytes_received: int = 0
 
 
@@ -319,10 +320,7 @@ def claim_worker_pool(jobs: Optional[int] = None) -> int:
     path never has to reason about whether its startup claim "counted".
     """
     global _POOL_OWNED
-    if jobs is None or jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 0:
-        raise ConfigurationError(NEGATIVE_JOBS_ERROR.format(jobs=jobs))
+    jobs = resolve_jobs(jobs, sys.maxsize)
     if _IN_WORKER or not fork_available():
         return 1
     with _POOL_LOCK:
@@ -353,6 +351,29 @@ def worker_pool_size() -> int:
 def worker_pool_pids() -> Tuple[int, ...]:
     """PIDs of the pool's live forked workers (diagnostics/tests)."""
     return tuple(sorted(link.pid for link in list(_POOL) if link.alive))
+
+
+def sweep_workers(jobs: Optional[int], tasks: int) -> Tuple[str, int]:
+    """Where a sweep of ``tasks`` cells runs: ``(backend, width)``.
+
+    The one decision every sweep shares. Configured hosts (``--hosts``,
+    ``REPRO_SWEEP_HOSTS`` or
+    :func:`repro.experiments.remote.configure_sweep_hosts`) override
+    ``jobs``: the backend is ``"socket"`` and the width is the host
+    count. Otherwise :func:`resolve_jobs` picks the width: ``"fork"``
+    above one worker, ``"serial"`` at one. A single task, or a sweep
+    inside a worker, never leaves the process.
+    """
+    if tasks > 1 and not _IN_WORKER:
+        # Imported lazily so a single-cell sweep never loads the
+        # remote module.
+        from repro.experiments import remote
+
+        hosts = remote.active_sweep_hosts()
+        if hosts:
+            return "socket", len(hosts)
+    width = resolve_jobs(jobs, tasks)
+    return ("fork" if width > 1 else "serial"), width
 
 
 def _serial_stream(
@@ -427,23 +448,35 @@ def stream_map(
     (parallel) of the deadline.
     """
     items = list(items)
-    if len(items) > 1 and not _IN_WORKER:
-        # Configured hosts (--hosts / REPRO_SWEEP_HOSTS) override `jobs`
-        # outright — the host list *is* the parallelism. Imported
-        # lazily so a single-cell sweep never touches the remote module.
-        from repro.experiments import remote as _remote
+    return stream_on(
+        sweep_workers(jobs, len(items)), fn, items, progress, deadline
+    )
 
-        hosts = _remote.active_sweep_hosts()
-        if hosts:
-            return _remote.remote_stream(
-                fn, items, hosts, progress, deadline=deadline
-            )
-    n_jobs = resolve_jobs(jobs, len(items))
-    if n_jobs <= 1:
+
+def stream_on(
+    workers: Tuple[str, int],
+    fn: Callable[[_T], _R],
+    items: List[_T],
+    progress: Optional[Callable[[int, int], None]] = None,
+    deadline: Optional[float] = None,
+) -> Iterator[Tuple[int, _R]]:
+    """:func:`stream_map` on the workers :func:`sweep_workers` picked.
+
+    For callers that plan on one item count and dispatch another: the
+    batched executor plans on a grid's cells, then streams one chunk
+    per worker.
+    """
+    backend, width = workers
+    if backend == "serial":
         return _serial_stream(fn, items, progress, deadline=deadline)
-    links, reused = _get_pool(n_jobs)
-    return _remote.link_stream(
-        fn, items, links, progress, deadline, backend="fork", reused=reused
+    from repro.experiments import remote
+
+    if backend == "socket":
+        links, reused = remote.live_host_links(remote.active_sweep_hosts())
+    else:
+        links, reused = _get_pool(width)
+    return remote.link_stream(
+        fn, items, links, progress, deadline, backend=backend, reused=reused
     )
 
 

@@ -27,22 +27,22 @@ owns its ``seq``.
 
 * worker → ``("hello", fingerprint)`` once per connection: its result
   schema fingerprint, which must match the parent's.
-* parent → ``("sweep", seq, fn, generation, cache_dir, digests)``:
-  the cell function and cache state. The worker adopts the parent's
-  cache clear-generation. ``digests is None`` marks a worker that
-  shares the parent's cache tiers (a forked child): it follows the
-  parent's ``cache_dir`` and ships back only the entries a cell
-  computed. A TCP host keeps its own cache configuration and gets the
-  parent's digest set (memory keys plus disk digests) instead: entries
-  cross the wire as **hash-sharded deltas** — verbatim on-disk entry
-  payloads (:func:`repro.sim.diskcache.encode_entry_payload`) keyed by
-  ``key_digest``, minus every digest the parent already holds.
+* parent → ``("sweep", seq, fn, generation, cache_dir)``: the cell
+  function and cache state. The worker adopts the parent's cache
+  clear-generation. A forked worker also follows the parent's
+  ``cache_dir`` (:func:`fork_workers` starts it that way); a TCP host
+  keeps its own cache configuration.
 * parent → ``("cell", seq, index, item)``, at most two in flight per
   worker per sweep. The worker answers each with ``("chunk", seq,
-  index, result, shards, extras, d_hits, d_misses, d_disk)``, or with
+  index, result, entries, d_hits, d_misses, d_disk)``, or with
   ``("error", seq, index, pickled_exception, traceback)`` when the cell
   raises (the parent re-raises the exception, or
   :class:`repro.errors.RemoteWorkerError` when it does not unpickle).
+  ``entries`` is the cell's cache delta — the ``(key, value)`` entries
+  it computed into the worker's memory, pickled once into one blob
+  (``b""`` when it computed nothing). Loads from the worker's disk tier
+  are left out: a forked worker's disk is the parent's, and a host's
+  own disk loads only cost the parent warmth, never a result.
 * parent → ``("end", seq)``: the worker drops the sweep's state.
 
 A parent stops a sweep (early close, deadline, failure) by sending no
@@ -51,7 +51,7 @@ worker exits at EOF. Nothing flows parent → worker except cells: a
 worker stays warm through fork inheritance, its own memory cache
 across sweeps and the disk tier. Each worker gets a deterministic
 contiguous home partition, so a second sweep over live TCP hosts
-ships ~0 shard bytes: each host is handed the cells its memory
+ships ~0 delta bytes: each host is handed the cells its memory
 already answers.
 
 Trust model
@@ -74,6 +74,9 @@ by the next sweep; a dead host is reconnected when it comes back.
 Failure to reach every configured host at sweep start raises
 :class:`repro.errors.ConfigurationError` instead — a sweep that cannot
 reach any configured host should fail loudly, not silently degrade.
+A host ships no entry its own disk tier answered, so such a cell
+leaves the parent colder than a forked worker would; warmth is all it
+affects.
 """
 
 from __future__ import annotations
@@ -114,12 +117,7 @@ from repro.errors import (
 )
 from repro.experiments import parallel as _parallel
 from repro.sim import cache as _simcache
-from repro.sim.diskcache import (
-    decode_entry_payload,
-    encode_entry_payload,
-    key_digest,
-    schema_fingerprint,
-)
+from repro.sim.diskcache import schema_fingerprint
 
 #: Environment variable naming the socket workers to dispatch sweeps
 #: to, as a comma-separated ``host:port`` list (the CLI's ``--hosts``
@@ -269,78 +267,6 @@ def _recv_frame(sock: socket.socket) -> Optional[Any]:
 
 
 # ---------------------------------------------------------------------------
-# Shared digest plumbing
-
-
-def _local_digest_set() -> Set[str]:
-    """Every ``key_digest`` the parent can already serve.
-
-    Memory-tier keys plus the disk tier's stored digests (entries the
-    disk tier holds are one counter-neutral load away, so a worker
-    shipping them back would be pure waste). Undigestible keys are
-    simply not advertised — they ride the ``extra_entries`` path
-    instead.
-    """
-    digests: Set[str] = set()
-    for key in _simcache.simulation_cache_keys():
-        try:
-            digests.add(key_digest(key))
-        except TypeError:
-            pass
-    disk = _simcache.simulation_cache_disk()
-    if disk is not None:
-        try:
-            digests.update(disk.digests())
-        except Exception:  # pragma: no cover - degraded disk tier
-            pass
-    return digests
-
-
-def _shard_entries(
-    entries: Sequence[Tuple[Any, Any]],
-    exclude: Set[str],
-) -> Tuple[List[Tuple[str, bytes]], List[Tuple[Any, Any]]]:
-    """Split entries into (digest, entry-payload) shards + raw extras.
-
-    Entries whose digest is in ``exclude`` are dropped (the other side
-    already holds them); undigestible or unpicklable-as-payload keys
-    fall back to the raw ``(key, value)`` extras list.
-    """
-    shards: List[Tuple[str, bytes]] = []
-    extras: List[Tuple[Any, Any]] = []
-    for key, value in entries:
-        try:
-            digest = key_digest(key)
-        except TypeError:
-            extras.append((key, value))
-            continue
-        if digest in exclude:
-            continue
-        try:
-            shards.append((digest, encode_entry_payload(key, value)))
-        except Exception:
-            extras.append((key, value))
-    return shards, extras
-
-
-def _decode_shards(
-    shards: Sequence[Tuple[str, bytes]],
-) -> List[Tuple[Any, Any]]:
-    """Decode received shards; a shard that fails to decode is dropped.
-
-    A foreign fingerprint or torn payload costs warmth only: the entry
-    recomputes in the parent if it is ever needed there.
-    """
-    entries: List[Tuple[Any, Any]] = []
-    for _digest, payload in shards:
-        try:
-            entries.append(decode_entry_payload(payload))
-        except Exception:
-            continue
-    return entries
-
-
-# ---------------------------------------------------------------------------
 # Worker side
 
 
@@ -356,9 +282,9 @@ def run_worker_server(
     a free one), reports the bound address through ``ready``, then
     accepts one parent connection at a time and runs the worker loop on
     it. The worker uses its *own* cache configuration (its
-    ``--cache-dir`` / ``REPRO_CACHE_DIR``); parents never reach into it
-    beyond shipping deltas. Nested sweeps inside cell tasks degrade to
-    serial exactly as in forked workers.
+    ``--cache-dir`` / ``REPRO_CACHE_DIR``); parents never change it.
+    Nested sweeps inside cell tasks degrade to serial exactly as in
+    forked workers.
     """
     _parallel._mark_worker()
     server = socket.create_server((host, port))
@@ -390,11 +316,18 @@ def run_worker_server(
 
 
 def _serve_connection(
-    sock: socket.socket, stop_event: Optional[threading.Event] = None
+    sock: socket.socket,
+    stop_event: Optional[threading.Event] = None,
+    follow_cache_dir: bool = False,
 ) -> None:
-    """The worker loop: one parent's frames until EOF (or the stop)."""
+    """The worker loop: one parent's frames until EOF (or the stop).
+
+    ``follow_cache_dir`` (set for forked workers) re-attaches the disk
+    tier to each sweep's ``cache_dir``, so the worker shares the
+    parent's; a TCP host keeps its own.
+    """
     _send_frame(sock, ("hello", schema_fingerprint()))
-    sweeps: Dict[int, Tuple[Callable[[Any], Any], Optional[Set[str]]]] = {}
+    sweeps: Dict[int, Callable[[Any], Any]] = {}
     while True:
         if stop_event is not None:
             if stop_event.is_set():
@@ -410,33 +343,26 @@ def _serve_connection(
             _, _, index, item = message
             _send_frame(sock, _run_cell(seq, sweeps[seq], index, item))
         elif kind == "sweep":
-            _, _, fn, generation, cache_dir, digests = message
+            _, _, fn, generation, cache_dir = message
             _simcache.sync_simulation_cache_generation(generation)
             if (
-                digests is None
+                follow_cache_dir
                 and _simcache.simulation_cache_dir() != cache_dir
             ):
                 _simcache.configure_simulation_cache_dir(cache_dir)
-            sweeps[seq] = (fn, digests)
+            sweeps[seq] = fn
         elif kind == "end":
             sweeps.pop(seq, None)
 
 
 def _run_cell(
-    seq: int,
-    sweep: Tuple[Callable[[Any], Any], Optional[Set[str]]],
-    index: int,
-    item: Any,
+    seq: int, fn: Callable[[Any], Any], index: int, item: Any
 ) -> Tuple[Any, ...]:
     """Worker body: run one cell, frame its result and cache delta.
 
-    The delta is the entries this cell added to the worker's memory.
-    A worker sharing the parent's cache tiers (``digests is None``)
-    leaves out its loads from the shared disk tier and ships the rest
-    as raw ``(key, value)`` extras. A TCP host shards them, minus every
-    digest the parent (or an earlier chunk of this sweep) already holds.
+    The delta is the entries this cell computed into the worker's
+    memory (disk-tier loads left out), pickled once into one blob.
     """
-    fn, digests = sweep
     baseline = _simcache.simulation_cache_keys()
     before = _simcache.simulation_cache_stats()
     try:
@@ -448,19 +374,10 @@ def _run_cell(
             blob = None
         return ("error", seq, index, blob, traceback.format_exc())
     after = _simcache.simulation_cache_stats()
-    if digests is None:
-        shards: List[Tuple[str, bytes]] = []
-        extras = _simcache.new_simulation_cache_entries(baseline)
-    else:
-        computed = [
-            (key, value)
-            for key, value in _simcache.export_simulation_cache()
-            if key not in baseline
-        ]
-        shards, extras = _shard_entries(computed, digests)
-        digests.update(digest for digest, _ in shards)
+    entries = _simcache.new_simulation_cache_entries(baseline)
     return (
-        "chunk", seq, index, result, shards, extras,
+        "chunk", seq, index, result,
+        pickle.dumps(entries, _WIRE_PROTOCOL) if entries else b"",
         after.hits - before.hits,
         after.misses - before.misses,
         after.disk_hits - before.disk_hits,
@@ -491,7 +408,7 @@ def fork_workers(count: int) -> List["_Link"]:
                     inherited.close()
                 for link in list(_LINKS):
                     link.sock.close()
-                _serve_connection(child_end)
+                _serve_connection(child_end, follow_cache_dir=True)
             except BaseException:  # noqa: BLE001 - the parent sees EOF
                 code = 1
             finally:
@@ -608,11 +525,9 @@ class _Link:
 
     def send(self, message: Any) -> bool:
         """Frame + send; False (never raise) when the link is gone."""
-        payload = pickle.dumps(message, _WIRE_PROTOCOL)
-        frame = struct.pack("!I", len(payload)) + payload
         with self._send_lock:
             try:
-                self.sock.sendall(frame)
+                _send_frame(self.sock, message)
             except OSError:
                 return False
         return True
@@ -681,8 +596,11 @@ class RemoteWorkerPool:
         self.links = []
 
 
-def _live_host_links(hosts: Sequence[str]) -> Tuple[List[_Link], bool]:
-    """The persistent host links (and whether they pre-existed)."""
+def live_host_links(hosts: Sequence[str]) -> Tuple[List[_Link], bool]:
+    """The persistent host links (and whether they pre-existed).
+
+    Raises :class:`ConfigurationError` when no host is reachable.
+    """
     global _REMOTE_POOL
     hosts = tuple(hosts)
     with _REMOTE_LOCK:
@@ -693,7 +611,12 @@ def _live_host_links(hosts: Sequence[str]) -> Tuple[List[_Link], bool]:
         reused = pool is not None
         if pool is None:
             pool = _REMOTE_POOL = RemoteWorkerPool(hosts)
-        return pool.live_links(), reused
+        links = pool.live_links()
+    if not links:
+        raise ConfigurationError(
+            f"no live sweep workers among configured hosts {hosts!r}"
+        )
+    return links, reused
 
 
 # ---------------------------------------------------------------------------
@@ -832,25 +755,6 @@ def executor_topology() -> Dict[str, Any]:
 # Parent side: the streaming sweep
 
 
-def remote_stream(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    hosts: Sequence[str],
-    progress: Optional[Callable[[int, int], None]] = None,
-    deadline: Optional[float] = None,
-) -> Iterator[Tuple[int, Any]]:
-    """Stream a sweep over the configured TCP ``hosts``."""
-    links, reused = _live_host_links(hosts)
-    if not links:
-        raise ConfigurationError(
-            f"no live sweep workers among configured hosts {tuple(hosts)!r}"
-        )
-    return link_stream(
-        fn, list(items), links, progress, deadline,
-        backend="socket", reused=reused, digests=_local_digest_set(),
-    )
-
-
 def link_stream(
     fn: Callable[[Any], Any],
     items: List[Any],
@@ -859,16 +763,15 @@ def link_stream(
     deadline: Optional[float],
     backend: str,
     reused: bool,
-    digests: Optional[Set[str]] = None,
 ) -> Iterator[Tuple[int, Any]]:
     """The one streaming loop: yield ``(index, result)`` in index order.
 
     Each link gets a contiguous home partition. Its first cell goes
     alone; once that chunk lands it keeps :data:`_WINDOW` cells in
-    flight. Workers sharing the parent's cache (``digests is None``)
-    whose home runs dry take unsent cells from the back of the longest
-    other home, so one slow cell never strands cells queued behind it;
-    TCP hosts keep strictly to their homes, where their own caches are
+    flight. A forked worker (it shares the parent's cache) whose home
+    runs dry takes unsent cells from the back of the longest other
+    home, so one slow cell never strands cells queued behind it; TCP
+    hosts keep strictly to their homes, where their own caches are
     warm. Cache deltas merge as chunks land.
 
     An early close, a passed ``deadline`` or a failure stops sending;
@@ -881,7 +784,6 @@ def link_stream(
     total = len(items)
     seq = next(_SWEEP_SEQ)
     events: "queue.Queue[Tuple[_Link, Any]]" = queue.Queue()
-    steal = digests is None
     homes: Dict[_Link, Deque[int]] = {}
     start = 0
     base, extra = divmod(total, len(links))
@@ -912,7 +814,7 @@ def link_stream(
         own = homes.get(link)
         if own:
             return own.popleft()
-        if steal:
+        if link.pid is not None:
             longest = max(homes.values(), key=len, default=None)
             if longest:
                 return longest.pop()
@@ -933,15 +835,13 @@ def link_stream(
 
     def absorb(link: _Link, message: Tuple[Any, ...]) -> None:
         nonlocal merged, duplicates, hits, misses, disk_hits, bytes_received
-        (_, _, index, result, shards, extras,
-         d_hits, d_misses, d_disk) = message
+        _, _, index, result, entries, d_hits, d_misses, d_disk = message
         in_flight.get(link, set()).discard(index)
         landed.add(link)
         if index in received:
             return
-        shard_bytes = sum(len(payload) for _, payload in shards)
         stats = _simcache.merge_simulation_cache(
-            _decode_shards(shards) + list(extras),
+            pickle.loads(entries) if entries else (),
             hits=d_hits, misses=d_misses, disk_hits=d_disk,
         )
         merged += stats.inserted
@@ -951,10 +851,10 @@ def link_stream(
         disk_hits += d_disk
         received.add(index)
         pending[index] = result
+        bytes_received += len(entries)
         if backend == "socket":
-            bytes_received += shard_bytes
             host_cells[link.label] = host_cells.get(link.label, 0) + 1
-            _note_host_totals(link.label, cells=1, received=shard_bytes)
+            _note_host_totals(link.label, cells=1, received=len(entries))
         if progress is not None:
             progress(len(received), total)
 
@@ -985,9 +885,7 @@ def link_stream(
         for link in links:
             if not (
                 link.attach(seq, events)
-                and link.send(
-                    ("sweep", seq, fn, generation, cache_dir, digests)
-                )
+                and link.send(("sweep", seq, fn, generation, cache_dir))
             ):
                 lose(link)
         for link in links:

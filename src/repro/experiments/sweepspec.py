@@ -159,13 +159,12 @@ def batchable(
 
 
 def _run_batched_group(payload):
-    """Pool task for one cell chunk: seed the stack, then run the cells.
+    """Worker task for one cell chunk: seed the stack, then run the cells.
 
-    Runs inside a forked worker (or in-parent under the serial
-    degradation contract): the chunk's simulations are stacked into the
-    worker's cache first, then the per-cell tasks run against that warm
-    cache. The worker's cache delta ships back to the parent exactly
-    like any other pool task's.
+    Runs inside a forked worker or a TCP host: the chunk's simulations
+    are stacked into the worker's cache first, then the per-cell tasks
+    run against that warm cache. The worker's cache delta ships back to
+    the parent exactly like any other cell's.
     """
     task, sims, chunk = payload
     if sims:
@@ -341,19 +340,21 @@ class SweepSpec:
     ) -> Iterator[CellResult]:
         """The batched executor behind :meth:`stream`.
 
-        Serial (resolved ``jobs <= 1``): one in-parent stack over every
-        cell's simulations seeds the cache, then the plain serial
+        :func:`~repro.experiments.parallel.sweep_workers` picks the
+        workers from the cell count. Serial: one in-parent stack over
+        every cell's simulations seeds the cache, then the plain serial
         stream runs — per-cell streaming order and emission unchanged.
-        Parallel: the grid splits into one contiguous chunk per worker,
-        each dispatched as a single :func:`_run_batched_group` pool
-        task (stack, then cells); chunk results are split back into
-        per-cell :class:`CellResult`s in index order.
+        Forked workers or hosts: the grid splits into one contiguous
+        chunk per worker, each dispatched as a single
+        :func:`_run_batched_group` task (stack, then cells), so every
+        cell is computed once, in a worker; chunk results are split
+        back into per-cell :class:`CellResult`s in index order.
         """
-        from repro.experiments.parallel import resolve_jobs
+        from repro.experiments.parallel import stream_on, sweep_workers
 
         total = len(cells)
-        n_jobs = resolve_jobs(jobs, total)
-        if n_jobs <= 1:
+        backend, width = sweep_workers(jobs, total)
+        if backend == "serial":
             from repro.sim.pipeline import simulate_tile_stream_batch
 
             flat = [sim for sims in sims_per_cell for sim in sims]
@@ -369,9 +370,10 @@ class SweepSpec:
             return
         payloads = []
         starts = []
-        step, remainder = divmod(total, n_jobs)
+        n_chunks = min(width, total)
+        step, remainder = divmod(total, n_chunks)
         start = 0
-        for chunk_index in range(n_jobs):
+        for chunk_index in range(n_chunks):
             size = step + (1 if chunk_index < remainder else 0)
             chunk = cells[start:start + size]
             sims = [
@@ -383,8 +385,9 @@ class SweepSpec:
             starts.append(start)
             start += size
         completed = 0
-        for chunk_index, values in stream_map(
-            _run_batched_group, payloads, jobs=n_jobs, deadline=deadline,
+        for chunk_index, values in stream_on(
+            (backend, width), _run_batched_group, payloads,
+            deadline=deadline,
         ):
             base = starts[chunk_index]
             for offset, value in enumerate(values):

@@ -904,7 +904,7 @@ class ServeDaemon:
         }
         # Executor topology: which backend sweeps dispatch through
         # (fork or socket), the configured hosts, per-host cells
-        # completed, and cumulative shard-delta traffic.
+        # completed, and cumulative cache-delta traffic.
         snapshot["executor"] = executor_topology()
         snapshot["cache"] = {
             "entries": stats.size,

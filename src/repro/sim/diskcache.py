@@ -24,9 +24,9 @@ through :meth:`DiskCache.store` or as part of a sweep delta through
 "key", "value"}``. The key is stored alongside the value and compared
 on load, so a (vanishingly unlikely) digest collision — or a corrupted
 file that still unpickles — degrades to a miss, never a wrong result.
-Membership is one ``stat`` of the entry path, and the set of stored
-digests is one listing of ``*/*.pkl``; there is no manifest to keep in
-step with the files.
+Membership is one ``stat`` of the entry path, and the entry count is
+one listing of ``*/*.pkl``; there is no manifest to keep in step with
+the files.
 
 Keys are hashed with :func:`key_digest`: a canonical, process-stable
 serialization of the nested key tuple (dataclasses by qualified name
@@ -271,13 +271,11 @@ def schema_fingerprint() -> str:
 
 
 def encode_entry_payload(key: Hashable, value: Any) -> bytes:
-    """One entry serialized in the exact on-disk payload format.
+    """One entry serialized in the on-disk payload format.
 
     These bytes are exactly the contents of an entry's ``.pkl`` file
-    (:meth:`DiskCache.store` writes them), so they can travel over any
-    transport (the socket executor ships them verbatim as hash-sharded
-    deltas) and decode to the same ``(key, value)`` on the other side.
-    Raises ``pickle.PicklingError`` for unpicklable values.
+    (:meth:`DiskCache.store` writes them). Raises
+    ``pickle.PicklingError`` for unpicklable values.
     """
     return pickle.dumps(
         {
@@ -293,11 +291,9 @@ def encode_entry_payload(key: Hashable, value: Any) -> bytes:
 def decode_entry_payload(payload: bytes) -> Tuple[Hashable, Any]:
     """The ``(key, value)`` inside one encoded entry payload.
 
-    Validates the same invariants :meth:`DiskCache.load` checks —
-    payload shape, format version, schema fingerprint — and raises
-    ``ValueError`` on any mismatch, so a foreign or stale shard
-    received over the wire degrades to recompute instead of poisoning
-    the cache.
+    Validates payload shape, format version and schema fingerprint,
+    and raises ``ValueError`` on any mismatch, so a foreign or stale
+    entry file degrades to recompute instead of poisoning the cache.
     """
     obj = pickle.loads(payload)
     if (
@@ -398,11 +394,6 @@ class DiskCache:
             # Same contract as load(): a key the canonical serializer
             # can't digest lives memory-only.
             return False
-
-    def digests(self) -> Set[str]:
-        """The key digest of every entry in the current schema
-        generation (one directory listing)."""
-        return {path.stem for path in self._dir.glob("*/*.pkl")}
 
     def load(self, key: Hashable, count: bool = True) -> Optional[Any]:
         """The stored value for ``key``, or ``None``.

@@ -255,118 +255,6 @@ class WaveBlockScan:
         return ready.reshape(issue_matrix.shape)
 
 
-class BatchWaveScan:
-    """A stack of independent :class:`WaveBlockScan` FIFOs, one per row.
-
-    The batched multi-core engine simulates many shape-compatible sweep
-    cells at once; each cell has its *own* shared memory server (cells
-    never exchange traffic), so the stacked scan is simply ``rows``
-    per-cell scans evaluated in one NumPy pass per drain, with the wave
-    axis as axis 1. Every row's service cumsum is built with exactly the
-    per-cell constructor's arithmetic — including the uniform-stream
-    fast path — and every drain applies the per-cell relative-coordinate
-    algebra along its row, so row ``r`` of a drain is bit-identical to
-    the same drain through a dedicated :class:`WaveBlockScan`.
-
-    Unlike the per-cell scan this one does not wrap live
-    :class:`MemoryChannel` objects: nothing downstream of the batched
-    engine reads channel state, so the per-row ``bytes_per_cycle`` /
-    ``latency_cycles`` scalars are carried directly.
-    """
-
-    def __init__(
-        self,
-        bytes_per_cycle: np.ndarray,
-        latency_cycles: np.ndarray,
-        nbytes_per_wave: np.ndarray,
-        lanes: int,
-        exposed_latency: np.ndarray,
-    ) -> None:
-        if lanes < 1:
-            raise SimulationError("wave scan needs at least one lane")
-        bytes_per_cycle = np.asarray(bytes_per_cycle, dtype=float).ravel()
-        latency_cycles = np.asarray(latency_cycles, dtype=float).ravel()
-        exposed_latency = np.asarray(exposed_latency, dtype=float).ravel()
-        nbytes_per_wave = np.asarray(nbytes_per_wave, dtype=float)
-        if nbytes_per_wave.ndim != 2:
-            raise SimulationError("stacked wave bytes must be (rows, waves)")
-        rows = nbytes_per_wave.shape[0]
-        if not (
-            bytes_per_cycle.size == latency_cycles.size
-            == exposed_latency.size == rows
-        ):
-            raise SimulationError("per-row channel parameters must align")
-        if np.any(bytes_per_cycle <= 0):
-            raise SimulationError("bytes_per_cycle must be positive")
-        if np.any(latency_cycles < 0):
-            raise SimulationError("latency_cycles must be non-negative")
-        if np.any(nbytes_per_wave < 0):
-            raise SimulationError("request size must be non-negative")
-        if np.any((exposed_latency < 0.0) | (exposed_latency > 1.0)):
-            raise SimulationError("exposed_latency must be in [0, 1]")
-        self._lanes = int(lanes)
-        cums = []
-        cum_prevs = []
-        for r in range(rows):
-            # Exactly the per-cell WaveBlockScan construction, row by
-            # row: a row that would take the uniform fast path alone
-            # takes it here too, so the cumsum floats are identical.
-            service = nbytes_per_wave[r] / bytes_per_cycle[r]
-            n = service.size * self._lanes
-            if service.size and np.all(service == service[0]):
-                cums.append(np.arange(1, n + 1) * float(service[0]))
-                cum_prevs.append(np.arange(n) * float(service[0]))
-            else:
-                flat = np.repeat(service, self._lanes)
-                cum = np.cumsum(flat)
-                cums.append(cum)
-                cum_prevs.append(np.concatenate(([0.0], cum[:-1])))
-        self._cum = np.stack(cums) if rows else np.zeros((0, 0))
-        self._cum_prev = np.stack(cum_prevs) if rows else np.zeros((0, 0))
-        self._cum_exposed = (
-            self._cum + (exposed_latency * latency_cycles)[:, None]
-        )
-        self._rows = rows
-        self._cursor = 0
-        self._peak = np.zeros(rows)
-
-    @property
-    def waves_remaining(self) -> int:
-        """Waves not yet drained (identical across rows)."""
-        return (self._cum.shape[1] - self._cursor) // self._lanes
-
-    def drain(self, issue_matrix: np.ndarray) -> np.ndarray:
-        """Service the next waves on every row; per-request ready times.
-
-        ``issue_matrix`` is ``(rows, waves, lanes)``, each row's waves
-        already ordered the way its FIFO should see them. Returns the
-        same shape.
-        """
-        issue_matrix = np.asarray(issue_matrix, dtype=float)
-        if (
-            issue_matrix.ndim != 3
-            or issue_matrix.shape[0] != self._rows
-            or issue_matrix.shape[2] != self._lanes
-        ):
-            raise SimulationError(
-                f"issue matrix must be ({self._rows}, waves, {self._lanes})"
-                f", got {issue_matrix.shape}"
-            )
-        n = issue_matrix.shape[1] * self._lanes
-        if self._cursor + n > self._cum.shape[1]:
-            raise SimulationError(
-                "wave scan drained past the end of its request stream"
-            )
-        window = slice(self._cursor, self._cursor + n)
-        slack = issue_matrix.reshape(self._rows, -1) - self._cum_prev[:, window]
-        np.maximum(slack, self._peak[:, None], out=slack)
-        np.maximum.accumulate(slack, axis=1, out=slack)
-        self._peak = slack[:, -1].copy()
-        ready = slack + self._cum_exposed[:, window]
-        self._cursor += n
-        return ready.reshape(issue_matrix.shape)
-
-
 class SharedMemoryServer:
     """Event-ordered FIFO bandwidth server shared by many cores.
 

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import cache as _simcache
-from repro.sim.memory import BatchWaveScan, MemoryChannel
+from repro.sim.memory import MemoryChannel
 from repro.sim.stats import UtilizationReport
 from repro.sim.system import SimSystem
 from repro.units import TMUL_CYCLES, flops_per_tile
@@ -1666,162 +1666,3 @@ def simulate_multicore_event_reference(
         system, timing, tiles_per_core, cores
     )
     return _multicore_result(system, timing, n_cores, nbytes, dec, done)
-
-
-def multicore_batch_group_key(
-    system: SimSystem,
-    timing: KernelTiming,
-    tiles_per_core: int,
-    cores: Optional[int] = None,
-):
-    """Shape-compatibility class of one multicore cell, or ``None``.
-
-    The window-blocked engine's control flow is steered by the wave
-    count, the core count, the prefetch window, and which waves
-    decompress; cells agreeing on all four stack into one
-    ``(cells, waves, cores)`` pass. Anything else — including inputs the
-    blocked engine would reject outright — takes the per-cell path.
-    """
-    if timing.mode is not InvocationMode.OVERLAPPED or tiles_per_core < 2:
-        return None
-    n_cores = cores if cores is not None else system.cores
-    if n_cores < 1:
-        return None
-    dec = timing.tile_dec_cycles(tiles_per_core)
-    active = int(np.count_nonzero(dec > 0.0))
-    if active == tiles_per_core:
-        dec_class = "all"
-    elif active == 0:
-        dec_class = "none"
-    else:
-        return None
-    return (
-        int(tiles_per_core), int(n_cores), timing.prefetch_window, dec_class
-    )
-
-
-def _multicore_blocked_matrices_batch(group):
-    """The window-blocked engine over a stack of compatible cells.
-
-    Exactly :func:`_multicore_blocked_matrices` with one leading
-    ``cells`` axis: each cell keeps its own shared server (rows of a
-    :class:`~repro.sim.memory.BatchWaveScan`), the dec/TMUL chains
-    accumulate along the wave axis (axis 1), and the per-cell sorted
-    fast path widens to the whole stack — if any row's block is
-    unsorted, every row takes the stable-argsort path, which is
-    bit-identical for the sorted rows (stable argsort of a sorted row
-    is the identity permutation). Returns ``(setups, done)`` where
-    ``done`` is ``(cells, waves, cores)``.
-    """
-    setups = [
-        _multicore_setup(system, timing, tiles_per_core, cores)
-        for system, timing, tiles_per_core, cores in group
-    ]
-    k = len(group)
-    timings = [timing for _, timing, _, _ in group]
-    n_cores = setups[0][0]
-    tiles_per_core = len(setups[0][1])
-    window = timings[0].prefetch_window
-    block = min(window, tiles_per_core)
-    nbytes2 = np.stack([nbytes for _, nbytes, _, _ in setups])
-    dec2 = np.stack([dec for _, _, dec, _ in setups])
-    coords = [
-        _multicore_chain_coords(timing, dec)
-        for timing, (_, _, dec, _) in zip(timings, setups)
-    ]
-    all_dec = int(coords[0][1].size) == tiles_per_core
-    scan = BatchWaveScan(
-        np.array([server.bytes_per_cycle for _, _, _, server in setups]),
-        np.array([server.latency_cycles for _, _, _, server in setups]),
-        nbytes2,
-        n_cores,
-        np.array([timing.exposed_latency for timing in timings]),
-    )
-    shape = (k, tiles_per_core, n_cores)
-    dec_start = np.zeros(shape)
-    done = np.zeros(shape)
-    dpeak = np.zeros((k, n_cores))
-    mpeak = np.zeros((k, n_cores))
-    if all_dec:
-        # dec_pos is the identity for an all-dec stream, so the per-wave
-        # chain coordinates are the cumsums themselves.
-        dcum_prev_col = np.stack([c[2] for c in coords])[:, :, None]
-        dcum_col = np.stack([c[1] for c in coords])[:, :, None]
-    hm_col = np.stack([c[3] for c in coords])[:, :, None]
-    mtx_cum_col = np.stack([c[4] for c in coords])[:, :, None]
-    for lo in range(0, tiles_per_core, block):
-        hi = min(lo + block, tiles_per_core)
-        if lo < window:
-            issue_block = np.zeros((k, hi - lo, n_cores))
-        else:
-            issue_block = dec_start[:, lo - window:hi - window]
-        if (issue_block[:, :, :-1] <= issue_block[:, :, 1:]).all():
-            mem_block = scan.drain(issue_block)
-        else:
-            order = np.argsort(issue_block, axis=2, kind="stable")
-            served = scan.drain(
-                np.take_along_axis(issue_block, order, axis=2)
-            )
-            mem_block = np.empty_like(served)
-            np.put_along_axis(mem_block, order, served, axis=2)
-        if all_dec:
-            slack = mem_block - dcum_prev_col[:, lo:hi]
-            np.maximum(slack[:, 0], dpeak, out=slack[:, 0])
-            np.maximum.accumulate(slack, axis=1, out=slack)
-            dpeak = slack[:, -1]
-            np.add(slack, dcum_prev_col[:, lo:hi], out=dec_start[:, lo:hi])
-            dd_block = slack + dcum_col[:, lo:hi]
-        else:
-            dec_start[:, lo:hi] = mem_block
-            dd_block = mem_block
-        np.add(dd_block, hm_col[:, lo:hi], out=dd_block)
-        np.maximum(dd_block[:, 0], mpeak, out=dd_block[:, 0])
-        np.maximum.accumulate(dd_block, axis=1, out=dd_block)
-        mpeak = dd_block[:, -1]
-        np.add(dd_block, mtx_cum_col[:, lo:hi], out=done[:, lo:hi])
-    return setups, done
-
-
-def simulate_multicore_event_batch(cells):
-    """Simulate many ``(system, timing, tiles_per_core, cores)`` cells.
-
-    The multicore counterpart of :func:`simulate_tile_stream_batch`:
-    cells whose :func:`multicore_batch_group_key` matches run as rows of
-    one stacked window-blocked pass; incompatible cells, singletons, and
-    (under ``FORCE_REFERENCE_ENGINE``) everything fall back to
-    :func:`simulate_multicore_event` per cell. Returns one
-    :class:`SimResult` per input cell, in input order, bit-identical to
-    the per-cell engine. Multicore simulations are not cached, so there
-    is no cache fan-in here.
-    """
-    cells = [tuple(cell) for cell in cells]
-    results: list = [None] * len(cells)
-    groups: dict = {}
-    for idx, (system, timing, tiles_per_core, cores) in enumerate(cells):
-        gkey = None
-        if not FORCE_REFERENCE_ENGINE:
-            gkey = multicore_batch_group_key(
-                system, timing, tiles_per_core, cores
-            )
-        if gkey is None:
-            results[idx] = simulate_multicore_event(
-                system, timing, tiles_per_core, cores
-            )
-        else:
-            groups.setdefault(gkey, []).append(idx)
-    for gkey, members in groups.items():
-        if len(members) == 1:
-            system, timing, tiles_per_core, cores = cells[members[0]]
-            results[members[0]] = simulate_multicore_event(
-                system, timing, tiles_per_core, cores
-            )
-            continue
-        group = [cells[i] for i in members]
-        setups, done = _multicore_blocked_matrices_batch(group)
-        for pos, idx in enumerate(members):
-            system, timing, _, _ = cells[idx]
-            n_cores, nbytes, dec, _ = setups[pos]
-            results[idx] = _multicore_result(
-                system, timing, n_cores, nbytes, dec, done[pos]
-            )
-    return results

@@ -55,8 +55,9 @@ def _reap_sweep_workers():
     """Tear down sweep workers after every test; fail if any survive.
 
     A pool left alive would carry its workers, and their warm caches,
-    into the next test. Teardown must leave no forked worker running
-    and no loopback ``repro worker`` subprocess unreaped.
+    into the next test. Teardown must leave no forked worker running,
+    no loopback ``repro worker`` subprocess unreaped and no parent-side
+    worker link (socketpair or TCP connection) open.
     """
     yield
     from repro.experiments import parallel
@@ -76,6 +77,13 @@ def _reap_sweep_workers():
     if remote is not None:
         assert not remote.loopback_worker_procs(), (
             "loopback workers outlived shutdown_worker_pool()"
+        )
+        links = list(remote._LINKS)
+        for link in links:
+            link.close()
+        assert not links, (
+            f"worker links {sorted(link.label for link in links)} "
+            "outlived shutdown_worker_pool()"
         )
 
 

@@ -364,13 +364,15 @@ class TestDeltaCommit:
         assert disk.store_batch(entries) == 0
         assert disk.stats().pack_commits == 1
         assert disk.entry_count() == 4
-        assert disk.digests() == {key_digest(key) for key, _ in entries}
+        assert {path.stem for path in disk.schema_dir.glob("*/*.pkl")} == {
+            key_digest(key) for key, _ in entries
+        }
         for key, value in entries:
             assert results_bit_equal(disk.load(key), value)
 
     def test_entry_file_is_the_encoded_payload(self, tmp_path):
-        # The socket executor ships encode_entry_payload bytes; they
-        # must be exactly what the store writes for the same entry.
+        # encode_entry_payload is the one entry format: its bytes must
+        # be exactly what the store writes for the same entry.
         key, value = _sim_entries(1, tag=250.0)[0]
         disk = DiskCache(tmp_path)
         assert disk.store_batch([(key, value)]) == 1

@@ -6,10 +6,11 @@ dispatch contiguous cell partitions to socket workers and stream
 ``(index, result, cache delta)`` chunks back through the same
 incremental-merge path as the fork pool. The backend never changes
 results: every scenario is bit-identical to the serial and fork runs.
-Worker cache deltas cross the wire as hash-sharded entry payloads
-deduped against the parent's digest set (memory keys plus disk tier), a dead host's unfinished cells
-are recomputed in-parent, and ``shutdown_worker_pool`` reaps the
-loopback subprocesses.
+Worker cache deltas cross the wire as one pickled blob of the entries
+each cell computed, on hosts exactly as on forked workers; batched
+sweeps send one stacked chunk per host, so no cell is computed twice.
+A dead host's unfinished cells are recomputed in-parent, and
+``shutdown_worker_pool`` reaps the loopback subprocesses.
 """
 
 import sys
@@ -229,22 +230,20 @@ class TestDeltaDedup:
         # partition hands each host the same half it computed cold, so
         # its memory already answers every cell.
         sum(1 for _ in spec.stream(jobs=1, batch=False))
-        # On converged hosts, digest dedup leaves nothing to ship in
-        # either direction and every lookup is a worker memory hit.
+        # On converged hosts every lookup is a worker memory hit, so no
+        # cell computes an entry and no delta bytes ship.
         warm_rows = sum(1 for _ in spec.stream(jobs=1, batch=False))
         warm = last_sweep_execution()
         assert warm_rows == cold_rows
-        assert warm.delta_bytes_sent == 0
         assert warm.delta_bytes_received == 0
         assert warm.worker_misses == 0
         assert warm.worker_hits == warm.tasks
 
-    def test_parent_disk_tier_entries_are_not_shipped(self, tmp_path):
-        """Entries the parent's disk tier holds never cross the wire.
+    def test_warm_parent_disk_tier_gains_no_entries(self, tmp_path):
+        """Hosts ship entries the parent's disk holds; none is rewritten.
 
-        The parent advertises its disk digests alongside its memory
-        keys, so workers computing cells whose entries sit only on the
-        parent's disk drop them from their deltas.
+        Cold hosts compute every cell and ship every entry, and merging
+        an entry whose file already exists skips the write.
         """
         from repro.experiments.grid import grid_spec
         from repro.sim.cache import (
@@ -256,17 +255,51 @@ class TestDeltaDedup:
         configure_simulation_cache_dir(str(tmp_path))
         try:
             serial = spec.run(jobs=1)
-            assert simulation_cache_disk().entry_count() > 0
+            entries = simulation_cache_disk().entry_count()
+            assert entries > 0
             clear_simulation_cache()
             hosts = remote.start_loopback_workers(2)
             remote.configure_sweep_hosts(hosts)
-            before = remote.executor_topology()["delta_bytes_received"]
             socketed = spec.run(jobs=2)
-            assert last_sweep_execution().backend == "socket"
-            assert remote.executor_topology()["delta_bytes_received"] == before
-            assert socketed == serial
+            execution = last_sweep_execution()
+            assert execution.backend == "socket"
+            assert execution.delta_bytes_received > 0
+            assert simulation_cache_disk().entry_count() == entries
+            assert results_bit_equal(socketed, serial)
         finally:
             configure_simulation_cache_dir(None)
+
+
+class TestBatchedHostSweeps:
+    @pytest.mark.parametrize("host_count", [1, 2])
+    def test_each_cell_is_computed_once(self, host_count):
+        """A batched sweep sends its stacked chunks to the hosts.
+
+        The parent computes nothing itself, so the sweep's misses
+        (the hosts' merged into the parent's) are one per cell.
+        """
+        from repro.experiments.grid import grid_spec
+        from repro.sim.cache import simulation_cache_stats
+
+        spec = grid_spec(tiles=300)
+        serial = list(spec.stream(jobs=1, batch=True))
+        clear_simulation_cache()
+        hosts = remote.start_loopback_workers(host_count)
+        remote.configure_sweep_hosts(hosts)
+        before = simulation_cache_stats().misses
+        socketed = list(spec.stream(jobs=1, batch=True))
+        execution = last_sweep_execution()
+        assert execution.backend == "socket"
+        assert execution.hosts == tuple(hosts)
+        assert simulation_cache_stats().misses - before == spec.cell_count
+        assert [cell.index for cell in socketed] == list(range(len(serial)))
+        assert all(
+            results_bit_equal(a.value, b.value)
+            for a, b in zip(serial, socketed)
+        )
+        assert [row for cell in socketed for row in spec.rows_for(cell)] == [
+            row for cell in serial for row in spec.rows_for(cell)
+        ]
 
 
 class TestLifecycle:

@@ -24,9 +24,6 @@ from repro.sim.pipeline import (
     InvocationMode,
     KernelTiming,
     batch_group_key,
-    multicore_batch_group_key,
-    simulate_multicore_event,
-    simulate_multicore_event_batch,
     simulate_tile_stream,
     simulate_tile_stream_batch,
 )
@@ -302,69 +299,3 @@ class TestCacheInterplay:
         assert stats.hits == 0
         assert stats.misses == 0
         assert stats.size == 0
-
-
-class TestMulticoreEquivalence:
-    def _cells(self, hbm, ddr):
-        return [
-            (system, _timing(bytes_per_tile=bpt, dec_cycles=dec), 12, cores)
-            for system in (hbm, ddr)
-            for bpt, dec in ((256.0, 24.0), (2048.0, 4.0))
-            for cores in (4, None)
-        ]
-
-    def test_stack_matches_per_cell(self, hbm, ddr):
-        cells = self._cells(hbm, ddr)
-        per = [simulate_multicore_event(*cell) for cell in cells]
-        batched = simulate_multicore_event_batch(cells)
-        for one, two in zip(per, batched):
-            assert results_bit_equal(one, two)
-
-    def test_per_wave_arrays_match(self, hbm, rng):
-        waves = 10
-        cells = [
-            (hbm, _timing(
-                bytes_per_tile=rng.uniform(64.0, 4096.0, waves),
-                dec_cycles=rng.uniform(1.0, 50.0, waves),
-            ), waves, 6)
-            for _ in range(4)
-        ]
-        per = [simulate_multicore_event(*cell) for cell in cells]
-        batched = simulate_multicore_event_batch(cells)
-        for one, two in zip(per, batched):
-            assert results_bit_equal(one, two)
-
-    def test_incompatible_cells_fall_back(self, hbm):
-        # Mixed-dec waves have no blocked batch class; a lone window
-        # geometry is a singleton group. Both take the per-cell path.
-        mixed = np.zeros(12)
-        mixed[3] = 9.0
-        cells = [
-            (hbm, _timing(prefetch_window=3), 12, 4),
-            (hbm, _timing(dec_cycles=mixed), 12, 4),
-            (hbm, _timing(), 12, 4),
-        ]
-        per = [simulate_multicore_event(*cell) for cell in cells]
-        batched = simulate_multicore_event_batch(cells)
-        for one, two in zip(per, batched):
-            assert results_bit_equal(one, two)
-
-    def test_group_key_splits_on_cores(self, hbm):
-        timing = _timing()
-        assert multicore_batch_group_key(hbm, timing, 12, 4) != (
-            multicore_batch_group_key(hbm, timing, 12, 8)
-        )
-
-    def test_force_reference_engine_routes_per_cell(self, hbm):
-        cells = [
-            (hbm, _timing(bytes_per_tile=bpt), 12, 4)
-            for bpt in (256.0, 1024.0)
-        ]
-        reference = [simulate_multicore_event(*cell) for cell in cells]
-        pipeline_module.FORCE_REFERENCE_ENGINE = True
-        try:
-            forced = simulate_multicore_event_batch(cells)
-        finally:
-            pipeline_module.FORCE_REFERENCE_ENGINE = False
-        for one, two in zip(reference, forced):
-            assert results_bit_equal(one, two)
