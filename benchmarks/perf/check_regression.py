@@ -16,12 +16,13 @@ machine-independent gates: the window-blocked multi-core engine must
 stay >=5x over its retained per-wave reference loop, the cross-cell
 batched engine must hold its floors on both batching anchors (>=2.2x on
 the dispatch-bound 48-cell short-stream grid, no outright regression on
-the work-bound Figure 12 workload), the serve daemon must coalesce >=90% of duplicate
+the work-bound Figure 12 workload), the TEPL closed form must stay >=5x
+over the retained per-tile loop on a 24-row 20,000-tile stack, the serve daemon must coalesce >=90% of duplicate
 concurrent requests onto a single underlying sweep, and a cancelled
 sweep must leave >=50% of its grid's pool tasks undispatched.
 ``RATIO_CEILINGS`` is the mirror image for overhead ratios: loopback
 TCP workers must stay within 2x of forked workers on the same
-protocol, and a warm
+protocol (the median of interleaved TCP/fork pairs), and a warm
 replay on live socket workers must re-ship at most 10% of the cold
 run's cache-delta bytes. Anchors in ``RECORD_ONLY_BENCHMARKS`` (the
 end-to-end CLI wall time) are recorded for the trajectory and never
@@ -196,6 +197,15 @@ RATIO_FLOORS = {
     "figure12_batched": (
         "batched_speedup", 0.85,
         "sweep-level batching now slows real workloads down",
+    ),
+    # The checked TEPL closed form must stay well clear of the per-tile
+    # loop on the widest stack a seeded sweep builds (recorded 9.3-14.8x
+    # over five runs on a 2-CPU host; one hazard-bound row of the 24
+    # runs the loop inside both sides). A regression to "every row
+    # falls back" reads ~1x.
+    "tepl_stack_24x20000": (
+        "speedup_vs_reference_loop", 5.0,
+        "the TEPL closed form has degraded toward the per-tile loop",
     ),
     # N identical concurrent requests to the serve daemon must cost one
     # underlying sweep: every duplicate either coalesces onto the

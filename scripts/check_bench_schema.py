@@ -56,7 +56,10 @@ ANCHOR_REQUIRED_FIELDS: Dict[str, "tuple[str, ...]"] = {
         "full_s", "reclaimed_fraction", "cells",
     ),
     "remote_dispatch_overhead": (
-        "fork_s", "dispatch_overhead_ratio", "cells",
+        "fork_s", "dispatch_overhead_ratio", "pairs", "cells",
+    ),
+    "tepl_stack_24x20000": (
+        "before_s", "speedup_vs_reference_loop", "cells", "tiles",
     ),
     "remote_delta_dedup": (
         "cold_s", "cold_delta_bytes", "warm_delta_bytes",

@@ -17,9 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.machine import MachineSpec
 from repro.core.roofsurface import BoundingFactor, RoofSurface
 from repro.errors import ConfigurationError
+
+
+#: The regions :meth:`Bord.classify_grid` codes 0, 1, 2 stand for, in the
+#: scalar :meth:`~repro.core.roofsurface.RoofSurface.bounding_factor` tie
+#: order (MEM, then MTX, then VEC).
+GRID_FACTORS = (
+    BoundingFactor.MEMORY, BoundingFactor.MATRIX, BoundingFactor.VECTOR,
+)
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,28 @@ class Bord:
         """Region of a kernel signature."""
         return self._surface.bounding_factor(aixm, aixv)
 
+    def classify_grid(
+        self, aixm: Sequence[float], aixv: Sequence[float]
+    ) -> np.ndarray:
+        """Regions of every ``(aixm[i], aixv[j])`` pair as codes ``[j, i]``.
+
+        The vectorized :meth:`classify`: the MEM rate per column, the VEC
+        rate per row and the scalar MTX rate are the same IEEE products
+        the scalar path forms, and the masks apply its MEM, MTX, VEC tie
+        order, so ``GRID_FACTORS[codes[j, i]]`` is ``classify(aixm[i],
+        aixv[j])`` for every cell.
+        """
+        xs = np.asarray(aixm, dtype=float)
+        ys = np.asarray(aixv, dtype=float)
+        if np.any(xs <= 0) or np.any(ys <= 0):
+            raise ConfigurationError("AI_XM and AI_XV must be positive")
+        m = self.machine
+        mem = m.memory_bandwidth * xs[None, :]
+        vec = m.vector_ops_per_second * ys[:, None]
+        mtx = m.matrix_ops_per_second
+        is_mem = (mem <= mtx) & (mem <= vec)
+        return np.where(is_mem, 0, np.where(mtx <= vec, 1, 2))
+
     def place(self, label: str, aixm: float, aixv: float) -> BordPoint:
         """Place a labelled kernel on the diagram."""
         return BordPoint(label, aixm, aixv, self.classify(aixm, aixv))
@@ -83,14 +115,14 @@ class Bord:
         """
         if aixm_max <= 0 or aixv_max <= 0:
             raise ConfigurationError("window extents must be positive")
-        counts = {factor: 0 for factor in BoundingFactor}
-        step_x = aixm_max / samples
-        step_y = aixv_max / samples
-        for i in range(samples):
-            x = (i + 0.5) * step_x
-            for j in range(samples):
-                y = (j + 0.5) * step_y
-                counts[self.classify(x, y)] += 1
+        centers = np.arange(samples) + 0.5
+        codes = self.classify_grid(
+            centers * (aixm_max / samples), centers * (aixv_max / samples)
+        )
+        counts = dict(zip(
+            GRID_FACTORS,
+            np.bincount(codes.ravel(), minlength=3).tolist(),
+        ))
         total = samples * samples
         return {factor: counts[factor] / total for factor in BoundingFactor}
 
@@ -114,14 +146,13 @@ class Bord:
             BoundingFactor.VECTOR: "v",
             BoundingFactor.MATRIX: "x",
         }
-        rows: List[List[str]] = []
-        for j in range(height):
-            y = (height - j - 0.5) / height * aixv_max
-            row = []
-            for i in range(width):
-                x = (i + 0.5) / width * aixm_max
-                row.append(letters[self.classify(x, y)])
-            rows.append(row)
+        xs = (np.arange(width) + 0.5) / width * aixm_max
+        ys = (height - np.arange(height) - 0.5) / height * aixv_max
+        codes = self.classify_grid(xs, ys)
+        rows: List[List[str]] = [
+            [letters[GRID_FACTORS[code]] for code in row]
+            for row in codes.tolist()
+        ]
         for point in points:
             col = int(point.aixm / aixm_max * width)
             row = height - 1 - int(point.aixv / aixv_max * height)

@@ -41,11 +41,12 @@ Performance architecture (docs/PERFORMANCE.md):
   per-tile reference loop (``_run_overlapped_reference``) is the exact
   fallback for the rare window-limited regime and the golden model for
   the equivalence tests.
-* SERIALIZED and TEPL carry a cycle-by-cycle feedback through the core's
-  program order (lag 1-2 tiles), so exactness requires a per-tile loop;
-  those loops are kept, but tightened to pure-float arithmetic with all
-  service times and latency products precomputed (no per-tile NumPy
-  scalar churn or channel method calls).
+* TEPL feeds each completion back into the issue ``n_loaders`` tiles
+  later. Where a stream is memory-bound the engine evaluates a closed
+  form and verifies it row by row; rows that fail (bound by the
+  two-loader hazard) fall back to a plain-float per-tile loop.
+* SERIALIZED's lag-1 feedback through the core's program order keeps a
+  plain-float per-tile loop with all service times precomputed.
 * ``simulate_tile_stream`` memoizes results through
   :mod:`repro.sim.cache`, so sweeps that revisit identical
   ``(system, timing, tiles)`` configurations cost one dict lookup.
@@ -668,9 +669,8 @@ def _run_tepl(
     """TEPL invocation (Figure 10): out-of-order, two-loader hazard.
 
     TEPL i may issue only when TEPL i - n_loaders has completed (its
-    loader freed) — a feedback with lag ``n_loaders`` (two tiles for
-    DECA), so exactness requires the per-tile loop. As with SERIALIZED,
-    the loop is kept tight (precomputed service times, plain floats) and
+    loader freed). This plain-float per-tile loop is the fallback for
+    rows the closed form of :func:`_run_tepl_batch` cannot verify, and
     is bit-identical to the retained :func:`_run_tepl_reference`.
     """
     tiles = len(nbytes)
@@ -784,12 +784,6 @@ def _run_tepl_reference(
         mtx_start_arr, done,
     )
 
-
-_ENGINES = {
-    InvocationMode.OVERLAPPED: _run_overlapped,
-    InvocationMode.SERIALIZED: _run_serialized,
-    InvocationMode.TEPL: _run_tepl,
-}
 
 _REFERENCE_ENGINES = {
     InvocationMode.OVERLAPPED: _run_overlapped_reference,
@@ -1086,96 +1080,97 @@ def _run_serialized_batch(channels, timings, nbytes2, dec2):
 
 
 def _run_tepl_batch(channels, timings, nbytes2, dec2):
-    """The TEPL loop of :func:`_run_tepl`, cells-vectorized.
+    """TEPL (Figure 10) for a ``(cells, tiles)`` stack: a checked closed form.
 
-    Same structure as :func:`_run_serialized_batch`: the lag-``n_loaders``
-    hazard feedback keeps the tile loop, each iteration advances all
-    cells at once, and ``min``/``max`` on floats vs ``np.minimum`` /
-    ``np.maximum`` on float64 vectors select identical IEEE values.
-    ``prefetch_window`` and ``n_loaders`` are group-uniform (they steer
-    the loop's branches); every other timing knob is a per-row column.
+    When the stream is memory-bound, every ``max``/``min`` of
+    :func:`_run_tepl` picks a branch known ahead of time: each fetch
+    finds the channel busy, decompression waits for its data
+    (``dec_start = mem_done``) and the TMUL for its handoff
+    (``mtx_start = complete``). The loop's outputs are then array ops
+    on the same IEEE operations: the channel's free time is a row-wise
+    ``np.cumsum`` (a sequential running add, like the loop's) seeded
+    with ``max(fetch[0], 0.0) + service[0]``, and the hazard feedback
+    ``issue[i] = complete[i - n_loaders] + invoke`` is a shifted add.
+
+    Each row is then checked elementwise: ``fetch[i] <= mem_free[i-1]``,
+    ``mem_done[i] >= dec_done[i-1]``, ``mem_done[i] >= ready[i]`` and
+    ``complete[i] >= done[i-1]``. A tie gives the same value under the
+    loop's strict ``>`` and NaN fails, so by induction on ``i`` a row
+    that passes is the loop's output bit for bit. A row that fails goes
+    through :func:`_run_tepl`. ``prefetch_window`` and ``n_loaders`` are
+    group-uniform; the other timing knobs are per-row columns.
     """
     k, tiles = nbytes2.shape
-    bpc = np.array([c.bytes_per_cycle for c in channels])
-    service_t = np.ascontiguousarray((nbytes2 / bpc[:, None]).T)
-    dec_t = np.ascontiguousarray(dec2.T)
-    exposed = np.array([
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    exposed = column([
         t.exposed_latency * c.latency_cycles
         for t, c in zip(timings, channels)
     ])
-    invoke = np.array([t.invoke_cycles for t in timings])
-    loader = np.array([t.loader_latency_cycles for t in timings])
-    handoff = np.array([t.handoff_cycles for t in timings])
-    mtx = np.array([t.mtx_cycles for t in timings])
+    invoke = column([t.invoke_cycles for t in timings])
+    loader = column([t.loader_latency_cycles for t in timings])
+    handoff = column([t.handoff_cycles for t in timings])
+    mtx = column([t.mtx_cycles for t in timings])
     n_loaders = timings[0].n_loaders
     window = max(timings[0].prefetch_window, n_loaders)
     prefetch_ahead = timings[0].prefetch_window > n_loaders
-    done_t = np.zeros((tiles, k))
-    complete_t = np.zeros((tiles, k))
-    dec_start_t = np.zeros((tiles, k))
-    fetch_issue_t = np.zeros((tiles, k))
-    mem_done_t = np.zeros((tiles, k))
-    dec_done_t = np.zeros((tiles, k))
-    mtx_start_t = np.zeros((tiles, k))
-    # Same dispatch-bound hoisting as the serialized loop: row views and
-    # ufuncs resolved once, reused every tile.
-    service_rows = list(service_t)
-    dec_rows = list(dec_t)
-    done_rows = list(done_t)
-    complete_rows = list(complete_t)
-    dec_start_rows = list(dec_start_t)
-    fetch_rows = list(fetch_issue_t)
-    mem_done_rows = list(mem_done_t)
-    dec_done_rows = list(dec_done_t)
-    mtx_start_rows = list(mtx_start_t)
-    add = np.add
-    maximum = np.maximum
-    minimum = np.minimum
-    mem_free = np.zeros(k)
-    dec_free = np.zeros(k)
-    mtx_free = np.zeros(k)
-    issue = np.empty(k)
-    start = np.empty(k)
-    ready = np.empty(k)
-    ds = np.empty(k)
-    for i in range(tiles):
-        if i < n_loaders:
-            issue[:] = invoke
-        else:
-            add(complete_rows[i - n_loaders], invoke, out=issue)
-        fi = fetch_rows[i]
-        if prefetch_ahead and i >= window:
-            # DECA's own prefetcher predicts future tiles and fetches
-            # ahead of the TEPL issue, decoupling fetch from the hazard.
-            minimum(dec_start_rows[i - window], issue, out=fi)
-        elif not prefetch_ahead:
-            fi[:] = issue
-        # (prefetch_ahead below the window: the row stays zero.)
-        maximum(fi, mem_free, out=start)
-        add(start, service_rows[i], out=mem_free)
-        md = mem_done_rows[i]
-        add(mem_free, exposed, out=md)
-        add(issue, loader, out=ready)
-        maximum(md, dec_free, out=ds)
-        dsr = dec_start_rows[i]
-        maximum(ds, ready, out=dsr)
-        dec_free = dec_done_rows[i]
-        add(dsr, dec_rows[i], out=dec_free)
-        comp = complete_rows[i]
-        add(dec_free, handoff, out=comp)
-        ms = mtx_start_rows[i]
-        maximum(comp, mtx_free, out=ms)
-        mtx_free = done_rows[i]
-        add(ms, mtx, out=mtx_free)
+    # Tiles below n_loaders issue at 0.0 + invoke; with prefetch-ahead
+    # the first window fetches at 0.0, otherwise each fetch is its issue.
+    first_issue = 0.0 + invoke
+    first_fetch = np.zeros_like(invoke) if prefetch_ahead else first_issue
+    mem_free = nbytes2 / column([c.bytes_per_cycle for c in channels])
+    mem_free[:, :1] += np.where(first_fetch > 0.0, first_fetch, 0.0)
+    np.cumsum(mem_free, axis=1, out=mem_free)
+    mem_done = mem_free + exposed
+    dec_done = mem_done + dec2
+    complete = dec_done + handoff
+    done = complete + mtx
+    issue = np.empty_like(complete)
+    issue[:, :n_loaders] = first_issue
+    np.add(
+        complete[:, :max(tiles - n_loaders, 0)], invoke,
+        out=issue[:, n_loaders:],
+    )
+    if prefetch_ahead:
+        fetch = np.empty_like(issue)
+        fetch[:, :window] = 0.0
+        np.minimum(
+            mem_done[:, :max(tiles - window, 0)], issue[:, window:],
+            out=fetch[:, window:],
+        )
+    else:
+        fetch = issue
+    ok = np.all(fetch[:, 1:] <= mem_free[:, :-1], axis=1)
+    # The channel's free times are spent: their buffer takes ready.
+    ready = np.add(issue, loader, out=mem_free)
+    ok &= np.all(mem_done >= ready, axis=1)
+    ok &= mem_done[:, 0] >= 0.0
+    ok &= np.all(mem_done[:, 1:] >= dec_done[:, :-1], axis=1)
+    ok &= complete[:, 0] >= 0.0
+    ok &= np.all(complete[:, 1:] >= done[:, :-1], axis=1)
+    # A verified row is row views of the stacks (dec_start is mem_done
+    # and mtx_start is complete, value for value); the rest take the loop.
     return [
         PipelineTrace(
-            fetch_issue_t[:, r].copy(), mem_done_t[:, r].copy(),
-            dec_start_t[:, r].copy(), dec_done_t[:, r].copy(),
-            mtx_start_t[:, r].copy(), done_t[:, r].copy(),
-        )
+            fetch[r], mem_done[r], mem_done[r], dec_done[r], complete[r],
+            done[r],
+        ) if ok[r] else _run_tepl(channels[r], timings[r], nbytes2[r], dec2[r])
         for r in range(k)
     ]
 
+
+def _run_tepl_cell(channel, timing, nbytes, dec):
+    """One TEPL stream as a batch of one."""
+    return _run_tepl_batch([channel], [timing], nbytes[None], dec[None])[0]
+
+
+_ENGINES = {
+    InvocationMode.OVERLAPPED: _run_overlapped,
+    InvocationMode.SERIALIZED: _run_serialized,
+    InvocationMode.TEPL: _run_tepl_cell,
+}
 
 _BATCH_ENGINES = {
     InvocationMode.OVERLAPPED: _run_overlapped_batch,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.bord import Bord
-from repro.core.machine import SPR_DDR, SPR_HBM
+from repro.core.bord import GRID_FACTORS, Bord
+from repro.core.machine import SPR_DDR, SPR_HBM, MachineSpec
 from repro.core.roofsurface import BoundingFactor
 from repro.errors import ConfigurationError
 
@@ -78,3 +78,94 @@ class TestAscii:
         bord = Bord(SPR_HBM)
         points = bord.place_all([("a", 0.001, 0.001), ("b", 0.01, 0.01)])
         assert [p.label for p in points] == ["a", "b"]
+
+
+#: Machines whose region boundaries pass exactly through the odd sample
+#: centres of a ``samples=8, max=16`` window, on exact float products.
+#: MBW = VOS = 1 and MOS = 64 put the MEM|VEC line on the diagonal x = y;
+#: MBW = 1 and VOS = MOS = 3 put MEM|MTX on x = 3 and VEC|MTX on y = 1.
+_DIAGONAL_TIES = MachineSpec(
+    name="diagonal-ties", cores=1, frequency_hz=1.0, avx_units_per_core=1,
+    memory_bandwidth=1.0, tmul_cycles=1.0 / 64.0,
+)
+_MTX_TIES = MachineSpec(
+    name="mtx-ties", cores=1, frequency_hz=3.0, avx_units_per_core=1,
+    memory_bandwidth=1.0, tmul_cycles=1.0,
+)
+
+
+def _scalar_region_counts(bord, aixm_max, aixv_max, samples):
+    """The original per-sample loop over the scalar ``classify`` oracle."""
+    counts = {factor: 0 for factor in BoundingFactor}
+    step_x = aixm_max / samples
+    step_y = aixv_max / samples
+    for i in range(samples):
+        x = (i + 0.5) * step_x
+        for j in range(samples):
+            y = (j + 0.5) * step_y
+            counts[bord.classify(x, y)] += 1
+    return counts
+
+
+class TestVectorizedRegions:
+    """``classify_grid`` against the scalar ``classify``, cell for cell."""
+
+    @pytest.mark.parametrize("machine,window,samples", [
+        (SPR_HBM, (0.012, 0.012), 60),
+        (SPR_DDR, (0.012, 0.012), 60),
+        (SPR_HBM.with_vector_scale(4), (0.012, 0.012), 60),
+        (SPR_HBM, (0.03, 0.004), 37),
+        (_DIAGONAL_TIES, (16.0, 16.0), 8),
+        (_MTX_TIES, (16.0, 16.0), 8),
+    ])
+    def test_grid_matches_scalar_classify(self, machine, window, samples):
+        bord = Bord(machine)
+        aixm_max, aixv_max = window
+        xs = [(i + 0.5) * (aixm_max / samples) for i in range(samples)]
+        ys = [(j + 0.5) * (aixv_max / samples) for j in range(samples)]
+        codes = bord.classify_grid(xs, ys)
+        assert codes.shape == (samples, samples)
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                assert GRID_FACTORS[codes[j, i]] is bord.classify(x, y)
+        total = samples * samples
+        expected = _scalar_region_counts(bord, aixm_max, aixv_max, samples)
+        assert bord.region_fractions(aixm_max, aixv_max, samples) == {
+            factor: expected[factor] / total for factor in BoundingFactor
+        }
+
+    def test_tie_machines_sample_every_boundary(self):
+        # Each tie sits on a sample centre and resolves MEM, MTX, VEC.
+        diagonal = Bord(_DIAGONAL_TIES)
+        assert diagonal.classify(5.0, 5.0) is BoundingFactor.MEMORY
+        assert diagonal.classify(7.0, 5.0) is BoundingFactor.VECTOR
+        mtx = Bord(_MTX_TIES)
+        assert mtx.classify(3.0, 5.0) is BoundingFactor.MEMORY
+        assert mtx.classify(5.0, 5.0) is BoundingFactor.MATRIX
+        assert mtx.classify(5.0, 1.0) is BoundingFactor.MATRIX
+        assert mtx.classify(1.0, 1.0) is BoundingFactor.MEMORY
+
+    def test_ascii_matches_scalar_classify(self):
+        bord = Bord(SPR_HBM)
+        width, height = 64, 20
+        art = bord.render_ascii([], 0.012, 0.012, width, height)
+        letters = {
+            BoundingFactor.MEMORY: "m",
+            BoundingFactor.VECTOR: "v",
+            BoundingFactor.MATRIX: "x",
+        }
+        expected = [
+            "".join(
+                letters[bord.classify(
+                    (i + 0.5) / width * 0.012,
+                    (height - j - 0.5) / height * 0.012,
+                )]
+                for i in range(width)
+            )
+            for j in range(height)
+        ]
+        assert art.splitlines()[1:] == expected
+
+    def test_grid_rejects_non_positive(self):
+        with pytest.raises(ConfigurationError):
+            Bord(SPR_HBM).classify_grid([0.0, 0.1], [0.1])

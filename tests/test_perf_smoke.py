@@ -46,6 +46,12 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
         assert entry["per_cell_s"] > 0.0, name
         assert entry["batched_speedup"] > 0.0, name
     assert results["grid_batched_48"]["cells"] == 48.0
+    # The TEPL stack anchor timed the closed form and the loop it
+    # replaced on the same 24-row stack.
+    tepl = results["tepl_stack_24x20000"]
+    assert tepl["before_s"] > 0.0
+    assert tepl["speedup_vs_reference_loop"] > 0.0
+    assert tepl["cells"] == 24.0
     # The serve anchor measured both sides, and its coalescing rate is
     # a true rate even at smoke sizes.
     serve = results["serve_coalesced_8x"]
@@ -64,6 +70,7 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
     dispatch = results["remote_dispatch_overhead"]
     assert dispatch["fork_s"] > 0.0
     assert dispatch["dispatch_overhead_ratio"] > 0.0
+    assert dispatch["pairs"] >= 1.0
     assert dispatch["cells"] == 48.0
     dedup = results["remote_delta_dedup"]
     assert dedup["cold_s"] > 0.0

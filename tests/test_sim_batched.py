@@ -20,12 +20,18 @@ from repro.sim.cache import (
     results_bit_equal,
     simulation_cache_stats,
 )
+from repro.sim.memory import MemoryChannel
 from repro.sim.pipeline import (
     InvocationMode,
     KernelTiming,
+    _effective_bytes_per_cycle,
+    _run_tepl_batch,
+    _run_tepl_reference,
+    _stack_tile_rows,
     batch_group_key,
     simulate_tile_stream,
     simulate_tile_stream_batch,
+    simulate_tile_stream_reference,
 )
 from repro.sim.system import ddr_system, hbm_system
 
@@ -299,3 +305,211 @@ class TestCacheInterplay:
         assert stats.hits == 0
         assert stats.misses == 0
         assert stats.size == 0
+
+
+def _paper_tepl_cells(systems, tiles):
+    """The DECA (full integration, TEPL) cells of the paper's grid."""
+    return [
+        (system, deca_kernel_timing(
+            system, scheme, config=None, integration=FULL_INTEGRATION,
+        ), tiles)
+        for system in systems
+        for scheme in PAPER_SCHEMES
+    ]
+
+
+@pytest.fixture
+def tepl_fallbacks(monkeypatch):
+    """Count the rows the TEPL kernel hands to the per-tile loop."""
+    calls = []
+    loop = pipeline_module._run_tepl
+
+    def counting(channel, timing, nbytes, dec):
+        calls.append(timing)
+        return loop(channel, timing, nbytes, dec)
+
+    monkeypatch.setattr(pipeline_module, "_run_tepl", counting)
+    return calls
+
+
+def _assert_tepl_rows_match_reference(channels, timings, nbytes2, dec2):
+    """Run one stack through the kernel; every row must equal the oracle."""
+    traces = _run_tepl_batch(channels, timings, nbytes2, dec2)
+    assert len(traces) == len(timings)
+    for row, trace in enumerate(traces):
+        channel = channels[row]
+        reference = _run_tepl_reference(
+            MemoryChannel(channel.bytes_per_cycle, channel.latency_cycles),
+            timings[row], nbytes2[row], dec2[row],
+        )
+        assert results_bit_equal(trace, reference), row
+    return traces
+
+
+def _assert_cells_match_reference(cells):
+    timings = [t for _, t, _ in cells]
+    tiles = cells[0][2]
+    channels = [
+        MemoryChannel(_effective_bytes_per_cycle(s, t), s.memory_latency)
+        for s, t, _ in cells
+    ]
+    return _assert_tepl_rows_match_reference(
+        channels, timings,
+        _stack_tile_rows(timings, tiles, "bytes_per_tile"),
+        _stack_tile_rows(timings, tiles, "dec_cycles"),
+    )
+
+
+def _unit_stack(rows, tiles=64, prefetch_window=4, n_loaders=2):
+    """A TEPL stack on integral costs, so every sum is exact.
+
+    ``rows`` holds ``(service, latency, exposed, dec, handoff, invoke,
+    loader, mtx)`` per row on a one-byte-per-cycle channel.
+    """
+    channels, timings = [], []
+    for service, latency, exposed, dec, handoff, invoke, loader, mtx in rows:
+        channels.append(MemoryChannel(1.0, latency))
+        timings.append(KernelTiming(
+            bytes_per_tile=service, dec_cycles=dec, mtx_cycles=mtx,
+            mode=InvocationMode.TEPL, handoff_cycles=handoff,
+            invoke_cycles=invoke, loader_latency_cycles=loader,
+            exposed_latency=exposed, prefetch_window=prefetch_window,
+            n_loaders=n_loaders,
+        ))
+    return (
+        channels, timings,
+        _stack_tile_rows(timings, tiles, "bytes_per_tile"),
+        _stack_tile_rows(timings, tiles, "dec_cycles"),
+    )
+
+
+class TestTeplClosedForm:
+    """The checked closed form against the per-tile reference loop."""
+
+    @pytest.mark.parametrize("tiles", [64, 600, 4800])
+    @pytest.mark.parametrize("system_factory", [hbm_system, ddr_system])
+    def test_paper_grid_bit_identical(
+        self, system_factory, tiles, tepl_fallbacks
+    ):
+        cells = _paper_tepl_cells([system_factory()], tiles)
+        _assert_cells_match_reference(cells)
+        # Every paper cell but one verifies; only the loop fallback runs
+        # per tile.
+        assert len(tepl_fallbacks) <= 1
+
+    def test_hazard_bound_row_falls_back(self, hbm, tepl_fallbacks):
+        # Q8_5% on HBM: so few bytes per tile that the two-loader hazard,
+        # not the channel, paces the TEPLs.
+        cells = [
+            cell for cell in _paper_tepl_cells([hbm], 600)
+            if cell[1].bytes_per_tile == 89.6
+        ]
+        assert len(cells) == 1
+        traces = _assert_cells_match_reference(cells)
+        assert len(tepl_fallbacks) == 1
+        trace = traces[0]
+        # Decompression waits for the issue + loader turnaround, not data.
+        assert np.any(trace.dec_start > trace.mem_done)
+
+    def test_boundary_ties_verify(self, tepl_fallbacks):
+        # Each row sits exactly on one branch boundary of the loop on
+        # integral costs: a tie picks the same value either way, so the
+        # row must verify (no fallback) and still match bit for bit.
+        # (service, latency, exposed, dec, handoff, invoke, loader, mtx)
+        rows = [
+            (20.0, 10.0, 0.0, 20.0, 0.0, 0.0, 0.0, 16.0),  # mem_done == dec_free
+            (20.0, 10.0, 0.0, 10.0, 10.0, 10.0, 10.0, 16.0),  # mem_done == ready
+            (20.0, 60.0, 1.0, 4.0, 1.0, 1.0, 1.0, 16.0),  # fetch == mem_free
+            (16.0, 10.0, 0.0, 4.0, 1.0, 1.0, 1.0, 16.0),  # complete == done[i-1]
+        ]
+        stack = _unit_stack(rows)
+        traces = _assert_tepl_rows_match_reference(*stack)
+        assert tepl_fallbacks == []
+        dec_tie, ready_tie, fetch_tie, mtx_tie = traces
+        assert np.any(dec_tie.mem_done[1:] == dec_tie.dec_done[:-1])
+        ready = (
+            ready_tie.mtx_start[:-2] + 10.0 + 10.0  # complete + invoke + loader
+        )
+        assert np.any(ready_tie.mem_done[2:] == ready)
+        mem_free = fetch_tie.mem_done - 60.0
+        assert np.any(fetch_tie.fetch_issue[1:] == mem_free[:-1])
+        assert np.any(mtx_tie.mtx_start[1:] == mtx_tie.mtx_done[:-1])
+
+    @pytest.mark.parametrize("prefetch_window,row", [
+        # Decompression is slower than the channel: dec_free binds.
+        (4, (20.0, 10.0, 0.0, 30.0, 1.0, 1.0, 1.0, 16.0)),
+        # Two TEPLs' turnaround outlasts two tiles of transfer: ready binds.
+        (4, (20.0, 10.0, 0.0, 10.0, 10.0, 10.0, 20.0, 16.0)),
+        # The TMUL is slower than the channel: done[i-1] binds.
+        (4, (10.0, 10.0, 0.0, 4.0, 1.0, 1.0, 1.0, 16.0)),
+        # Without prefetch-ahead the issue comes after the channel frees.
+        (2, (20.0, 10.0, 1.0, 5.0, 5.0, 5.0, 1.0, 16.0)),
+    ])
+    def test_each_check_alone_forces_fallback(
+        self, prefetch_window, row, tepl_fallbacks
+    ):
+        # Every row breaks exactly one branch condition, so dropping
+        # that check would verify a wrong closed form.
+        stack = _unit_stack([row], prefetch_window=prefetch_window)
+        _assert_tepl_rows_match_reference(*stack)
+        assert len(tepl_fallbacks) == 1
+
+    @pytest.mark.parametrize("prefetch_window,n_loaders", [(2, 2), (1, 3)])
+    def test_no_prefetch_ahead(
+        self, prefetch_window, n_loaders, tepl_fallbacks
+    ):
+        # prefetch_window <= n_loaders: every fetch is its own issue, and
+        # tile 0's fetch at ``invoke`` seeds the channel.
+        rows = [
+            (60.0, 10.0, 0.5, 8.0, 4.0, 2.0, 3.0, 16.0),  # memory-bound
+            (8.0, 40.0, 1.0, 30.0, 12.0, 2.0, 10.0, 16.0),  # hazard-bound
+        ]
+        stack = _unit_stack(
+            rows, prefetch_window=prefetch_window, n_loaders=n_loaders,
+        )
+        _assert_tepl_rows_match_reference(*stack)
+        assert [t.bytes_per_tile for t in tepl_fallbacks] == [8.0]
+
+    def test_mixed_stack(self, hbm, ddr, tepl_fallbacks):
+        # Paper cells that verify stacked with rows that cannot: the
+        # fallback rows take the loop, their neighbours keep the stack.
+        cells = _paper_tepl_cells([hbm, ddr], 600)
+        cells += [
+            (system, _timing(
+                mode=InvocationMode.TEPL, bytes_per_tile=16.0,
+                dec_cycles=60.0, invoke_cycles=2.0, handoff_cycles=12.0,
+                loader_latency_cycles=10.0, prefetch_window=24,
+            ), 600)
+            for system in (hbm, ddr)
+        ]
+        _assert_cells_match_reference(cells)
+        assert 0 < len(tepl_fallbacks) < len(cells)
+        assert len(tepl_fallbacks) == 3
+
+    def test_batch_of_one(self, hbm, ddr, tepl_fallbacks):
+        for system in (hbm, ddr):
+            for _, timing, _ in _paper_tepl_cells([system], 96)[:4]:
+                one = simulate_tile_stream(system, timing, 96, use_cache=False)
+                ref = simulate_tile_stream_reference(system, timing, 96)
+                assert results_bit_equal(one.trace, ref.trace)
+                assert one.makespan_cycles == ref.makespan_cycles
+        assert tepl_fallbacks == []
+
+    def test_memory_bound_paper_cells_never_run_the_loop(
+        self, hbm, ddr, monkeypatch
+    ):
+        # Guard against a regression to "always fall back": the loop
+        # raises, so any memory-bound paper cell reaching it fails.
+        def loop_forbidden(*args):
+            raise AssertionError("memory-bound TEPL cell ran the tile loop")
+
+        cells = [
+            cell for cell in _paper_tepl_cells([hbm, ddr], 600)
+            if not (cell[0] is hbm and cell[1].bytes_per_tile == 89.6)
+        ]
+        assert len(cells) == 23
+        monkeypatch.setattr(pipeline_module, "_run_tepl", loop_forbidden)
+        clear_simulation_cache()
+        simulate_tile_stream_batch(cells, use_cache=False)
+        for system, timing, tiles in cells[:4]:
+            simulate_tile_stream(system, timing, tiles, use_cache=False)
