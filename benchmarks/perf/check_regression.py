@@ -184,16 +184,18 @@ RATIO_FLOORS = {
         "the blocked event engine has degraded toward the per-wave loop",
     ),
     # The cross-cell batched engine must stay well clear of the per-cell
-    # scan on the dispatch-bound 48-cell short-stream grid (recorded
-    # >=3x; the floor leaves jitter headroom).
+    # scan on the dispatch-bound 48-cell short-stream grid (the median
+    # of interleaved per-cell/stacked pairs, recorded ~3x; the floor
+    # leaves jitter headroom).
     "grid_batched_48": (
         "batched_speedup", 2.2,
         "cross-cell batching has degraded toward per-cell dispatch",
     ),
-    # On the paper's real 600-tile Figure 12 workload the runs are
-    # work-bound and batching is ~parity (see docs/PERFORMANCE.md for
-    # the tile-count decay) — this floor only catches the batched route
-    # becoming an outright regression on real sweeps.
+    # On the paper's real 600-tile Figure 12 workload (median of
+    # interleaved pairs) the runs are work-bound and batching is
+    # ~parity (see docs/PERFORMANCE.md for the tile-count decay) — this
+    # floor only catches the batched route becoming an outright
+    # regression on real sweeps.
     "figure12_batched": (
         "batched_speedup", 0.85,
         "sweep-level batching now slows real workloads down",

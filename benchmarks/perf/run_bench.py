@@ -45,9 +45,10 @@ a deep-prefetch window of 48. The two are bit-identical; the
 all-OVERLAPPED software-kernel grid (4 systems × 12 paper schemes) at a
 short 64-tile stream, where per-cell dispatch overhead dominates the
 scan itself, timed as 48 individual ``simulate_tile_stream`` calls vs
-one stacked batch (both uncached, bit-identical results). The
-``batched_speedup`` ratio is gated against a floor; it decays toward
-1x as the tile count grows and the runs become work-bound — see
+one stacked batch (both uncached, bit-identical results). The two
+sides alternate over ``pairs`` runs, and ``batched_speedup`` is the
+median per-pair ratio, gated against a floor; it decays toward 1x as
+the tile count grows and the runs become work-bound — see
 docs/PERFORMANCE.md.
 
 ``tepl_stack_24x20000`` tracks the TEPL engine on the widest stack a
@@ -61,8 +62,9 @@ gated against a floor.
 
 ``figure12_batched`` tracks the sweep-level batching route
 (:mod:`repro.experiments.sweepspec`): the Figure 12 spec run cold with
-``batch=True`` vs ``batch=False`` at the paper's full 600-tile streams
-— the conservative end-to-end number on a real workload, gated only
+``batch=True`` vs ``batch=False`` at the paper's full 600-tile streams,
+alternating over ``pairs`` runs — the conservative end-to-end number on
+a real workload; the median per-pair ``batched_speedup`` is gated only
 against a no-regression floor.
 
 ``serve_coalesced_8x`` tracks the sweep-serving daemon
@@ -116,7 +118,7 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,6 +191,34 @@ def best_of(fn: Callable[[], object], repeats: int) -> float:
         if elapsed < best:
             best = elapsed
     return best
+
+
+def paired_times(
+    a: Callable[[], object], b: Callable[[], object], pairs: int
+) -> Tuple[List[float], List[float]]:
+    """Wall times of ``pairs`` interleaved runs (A B A B ...) of two sides.
+
+    Each side runs once untimed first. A burst of host load then lands
+    inside one pair instead of on a whole side; ratio gates read
+    :func:`median_ratio` of the two lists, not a ratio of best-ofs.
+    """
+    a()
+    b()
+    a_times: List[float] = []
+    b_times: List[float] = []
+    for _ in range(pairs):
+        for fn, times in ((a, a_times), (b, b_times)):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    return a_times, b_times
+
+
+def median_ratio(
+    numerators: Sequence[float], denominators: Sequence[float]
+) -> float:
+    """Median of the per-pair ratios of two :func:`paired_times` lists."""
+    return statistics.median(n / d for n, d in zip(numerators, denominators))
 
 
 def _sim_cases():
@@ -466,18 +496,20 @@ def run_benchmarks(
         def batch_stacked():
             return simulate_tile_stream_batch(batch_cells, use_cache=False)
 
-        reps = reps_for(max(repeats // 2, 5))
-        after = best_of(batch_stacked, reps)
-        before = best_of(batch_per_cell, reps)
+        pairs = reps_for(max(repeats // 2, 5))
+        stacked_times, per_cell_times = paired_times(
+            batch_stacked, batch_per_cell, pairs
+        )
         # Bit-identity is the contract (tests pin the full traces); a
         # makespan check here keeps the anchor itself honest.
         assert [r.makespan_cycles for r in batch_stacked()] == [
             r.makespan_cycles for r in batch_per_cell()
         ], "batched grid diverged from the per-cell scan"
         results["grid_batched_48"] = {
-            "after_s": after,
-            "per_cell_s": before,
-            "batched_speedup": before / after,
+            "after_s": min(stacked_times),
+            "per_cell_s": min(per_cell_times),
+            "batched_speedup": median_ratio(per_cell_times, stacked_times),
+            "pairs": float(pairs),
             "cells": float(len(batch_cells)),
             "tiles": float(batch_tiles),
         }
@@ -550,13 +582,15 @@ def run_benchmarks(
             clear_simulation_cache()
             return figure12.sweep_spec().run(jobs=1, batch=False)
 
-        reps = reps_for(max(repeats // 4, 3))
-        after = best_of(figure_batched, reps)
-        before = best_of(figure_per_cell, reps)
+        pairs = reps_for(max(repeats // 4, 3))
+        batched_times, per_cell_times = paired_times(
+            figure_batched, figure_per_cell, pairs
+        )
         results["figure12_batched"] = {
-            "after_s": after,
-            "per_cell_s": before,
-            "batched_speedup": before / after,
+            "after_s": min(batched_times),
+            "per_cell_s": min(per_cell_times),
+            "batched_speedup": median_ratio(per_cell_times, batched_times),
+            "pairs": float(pairs),
         }
 
     # --- disk-backed cache: full grid cold vs warm-disk ----------------
@@ -786,28 +820,23 @@ def run_benchmarks(
             clear_simulation_cache()
             return run_grid(tiles=grid_tiles, jobs=2, batch=False)
 
-        def timed_on(backend_hosts) -> float:
+        def run_on(backend_hosts) -> Callable[[], object]:
             # An empty host list explicitly disables socket dispatch
             # (not revert-to-env), so a stray REPRO_SWEEP_HOSTS can
             # never leak into the fork side.
-            remote.configure_sweep_hosts(backend_hosts)
-            start = time.perf_counter()
-            grid_per_cell()
-            return time.perf_counter() - start
+            def body() -> object:
+                remote.configure_sweep_hosts(backend_hosts)
+                return grid_per_cell()
+            return body
 
         shutdown_worker_pool()
         hosts = remote.start_loopback_workers(2)
-        socket_times, fork_times = [], []
         try:
             # Both pools stay up and the sides alternate (TCP, fork,
-            # TCP, fork, ...): a burst of host load then lands inside
-            # one pair instead of on a whole side, and the gate reads
-            # the median of the per-pair ratios.
-            timed_on(hosts)
-            timed_on(())
-            for _ in range(pairs):
-                socket_times.append(timed_on(hosts))
-                fork_times.append(timed_on(()))
+            # TCP, fork, ...).
+            socket_times, fork_times = paired_times(
+                run_on(hosts), run_on(()), pairs
+            )
         finally:
             remote.configure_sweep_hosts(None)
             shutdown_worker_pool()
@@ -818,8 +847,8 @@ def run_benchmarks(
             # 2 loopback TCP workers over 2 forked socketpair workers,
             # same grid, same frames. Machine-independent: both run on
             # this host, so the ratio cancels its absolute speed.
-            "dispatch_overhead_ratio": statistics.median(
-                s / f for s, f in zip(socket_times, fork_times)
+            "dispatch_overhead_ratio": median_ratio(
+                socket_times, fork_times
             ),
             "pairs": float(pairs),
             "cells": 48.0,

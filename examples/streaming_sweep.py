@@ -25,8 +25,7 @@ then stream warm hits. Records, ordering, and emitted rows are
 bit-identical either way; what changes is the latency profile (the
 stack computes before the first yield, trading time-to-first-result
 for total wall time). The latency demos below pass ``batch=False`` to
-show the per-cell profile; drop it — or set ``REPRO_NO_BATCH=1`` /
-use the CLI's ``--no-batch`` for the reverse — to compare.
+show the per-cell profile; drop it to see the batched profile.
 """
 
 import argparse

@@ -58,6 +58,10 @@ ANCHOR_REQUIRED_FIELDS: Dict[str, "tuple[str, ...]"] = {
     "remote_dispatch_overhead": (
         "fork_s", "dispatch_overhead_ratio", "pairs", "cells",
     ),
+    "grid_batched_48": (
+        "per_cell_s", "batched_speedup", "pairs", "cells", "tiles",
+    ),
+    "figure12_batched": ("per_cell_s", "batched_speedup", "pairs"),
     "tepl_stack_24x20000": (
         "before_s", "speedup_vs_reference_loop", "cells", "tiles",
     ),

@@ -237,11 +237,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     # One emitter across every streamed scenario in the invocation
     # (prefer .jsonl when mixing scenarios — CSV keeps one header).
     emitter = sweepspec.open_emitter(args.out) if args.out else None
-    # --no-batch flips the process-wide default so buffered harnesses
-    # (which call the sweep entry points internally) honour it too.
-    previous_batching = (
-        sweepspec.set_batching_enabled(False) if args.no_batch else None
-    )
     try:
         for name in names:
             scenario = sweepspec.find_scenario(name)
@@ -268,8 +263,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 print(result.format_table())
                 print()
     finally:
-        if previous_batching is not None:
-            sweepspec.set_batching_enabled(previous_batching)
         if emitter is not None:
             emitter.close()
     return 0
@@ -316,7 +309,6 @@ def _simulate_report(task) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import parallel_map
-    from repro.experiments.sweepspec import batching_enabled
 
     _configure_cache(args)
     _configure_hosts(args)
@@ -332,18 +324,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
          args.gantt)
         for scheme in schemes
     ]
-    if (
-        len(tasks) > 1
-        and batching_enabled(False if args.no_batch else None)
-    ):
+    if len(tasks) > 1:
         # Seed the cache with one stacked scan across the schemes; the
         # per-task lookups below (and in forked workers, which inherit
         # the parent cache) then hit warm.
         from repro.sim.pipeline import simulate_tile_stream_batch
 
         simulate_tile_stream_batch(
-            [(system, _simulate_timing(task), 600) for task in tasks],
-            resolve_cached=False,
+            [(system, _simulate_timing(task), 600) for task in tasks]
         )
     reports = parallel_map(_simulate_report, tasks, jobs=args.jobs)
     print("\n\n".join(reports))
@@ -713,15 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "the host list replaces --jobs as the parallelism",
         )
 
-    def add_no_batch(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--no-batch", action="store_true",
-            help="disable cross-cell batched simulation and run every "
-                 "configuration through the per-cell scan (results are "
-                 "bit-identical either way; REPRO_NO_BATCH=1 is the "
-                 "environment equivalent)",
-        )
-
     p_exp = sub.add_parser(
         "experiments",
         help="regenerate paper results (simulations are cached; sweeps "
@@ -750,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs(p_exp)
     add_cache_dir(p_exp)
-    add_no_batch(p_exp)
     add_hosts(p_exp)
     p_exp.set_defaults(func=_cmd_experiments)
 
@@ -775,7 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render an ASCII Gantt window of TILES tiles")
     add_jobs(p_sim)
     add_cache_dir(p_sim)
-    add_no_batch(p_sim)
     add_hosts(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -155,7 +155,7 @@ def run_grid(
     use_cache: bool = True,
     tiles: int = 600,
     jobs: Optional[int] = 1,
-    batch: Optional[bool] = None,
+    batch: bool = True,
 ) -> List[GridRecord]:
     """Simulate every (system, scheme, engine) combination.
 
@@ -169,9 +169,9 @@ def run_grid(
     ``jobs`` selects the worker count: 1 (default) runs serial in
     process, ``N > 1`` streams the cells across ``N`` forked workers
     and merges their cache deltas as each cell lands (``None``/0 means
-    one worker per CPU). ``batch`` overrides the cross-cell batching
-    default (see :func:`repro.experiments.sweepspec.batching_enabled`).
-    Records are bit-identical to the serial run either way.
+    one worker per CPU). ``batch=False`` runs every cell through its
+    own scan instead of the cross-cell stack. Records are bit-identical
+    to the serial run either way.
     """
     return grid_spec(
         systems=systems, schemes=schemes, engines=engines,

@@ -193,14 +193,14 @@ def sweep_speedups(
     integration: Optional[DecaIntegration] = None,
     tiles: int = 600,
     jobs: Optional[int] = 1,
-    batch: Optional[bool] = None,
+    batch: bool = True,
 ) -> List[SchemeSpeedup]:
     """Speedups for a list of schemes (Figures 12/13's x axis).
 
     The buffered front door over :func:`speedup_spec`: the per-scheme
     cells stream across ``jobs`` workers (cache deltas merged as each
-    lands); ``jobs=1`` is the bit-identical serial path. ``batch``
-    overrides the cross-cell batching default.
+    lands); ``jobs=1`` is the bit-identical serial path. ``batch=False``
+    skips the cross-cell stack.
     """
     return speedup_spec(
         system, schemes=schemes, batch_rows=batch_rows,

@@ -52,7 +52,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -104,32 +103,13 @@ class CellResult:
 # Cross-cell batching
 # ---------------------------------------------------------------------
 
-_BATCHING_ENABLED = True
+def batching_enabled(batch: Optional[bool] = True) -> bool:
+    """Whether a ``batch=`` argument selects the batched executor.
 
-
-def set_batching_enabled(enabled: bool) -> bool:
-    """Flip the process-wide batching default; returns the previous value."""
-    global _BATCHING_ENABLED
-    previous = _BATCHING_ENABLED
-    _BATCHING_ENABLED = bool(enabled)
-    return previous
-
-
-def batching_enabled(override: Optional[bool] = None) -> bool:
-    """Whether batched sweep execution is active.
-
-    Precedence: an explicit ``override`` (a ``batch=`` argument) wins;
-    else the ``REPRO_NO_BATCH`` environment escape (any value other
-    than empty or ``"0"`` disables batching, mirroring the
-    ``FORCE_REFERENCE_ENGINE``-style escapes); else the process-wide
-    flag set by :func:`set_batching_enabled`.
+    ``None`` reads as the default, ``True``. perfbench's tracer asks
+    this to count the cells a sweep stacks.
     """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get("REPRO_NO_BATCH", "")
-    if env and env != "0":
-        return False
-    return _BATCHING_ENABLED
+    return batch is None or bool(batch)
 
 
 @dataclass(frozen=True)
@@ -170,7 +150,7 @@ def _run_batched_group(payload):
     if sims:
         from repro.sim.pipeline import simulate_tile_stream_batch
 
-        simulate_tile_stream_batch(sims, resolve_cached=False)
+        simulate_tile_stream_batch(sims)
     return [task(cell) for cell in chunk]
 
 
@@ -283,7 +263,7 @@ class SweepSpec:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
         deadline: Optional[float] = None,
     ) -> Iterator[CellResult]:
         """Yield one :class:`CellResult` per cell, in index order.
@@ -299,11 +279,10 @@ class SweepSpec:
         :class:`repro.errors.DeadlineExceededError`.
 
         Specs carrying a :func:`batchable` annotation route through the
-        cross-cell batched executor when batching is active (``batch``
-        overrides :func:`batching_enabled`): compatible cells' stacks
-        are simulated in bulk and the per-cell tasks then run against
-        the warm cache — results, ordering, and emission are
-        bit-identical to the per-cell path.
+        cross-cell batched executor unless ``batch`` is false:
+        compatible cells' stacks are simulated in bulk and the per-cell
+        tasks then run against the warm cache — results, ordering, and
+        emission are bit-identical to the per-cell path.
         """
         coords = self.coords()
         cells = self.cells(coords)
@@ -359,7 +338,7 @@ class SweepSpec:
 
             flat = [sim for sims in sims_per_cell for sim in sims]
             if flat:
-                simulate_tile_stream_batch(flat, resolve_cached=False)
+                simulate_tile_stream_batch(flat)
             for index, value in stream_map(
                 self.task, cells, jobs=1, progress=progress,
                 deadline=deadline,
@@ -403,7 +382,7 @@ class SweepSpec:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
     ) -> Any:
         """Drain the stream and reduce — the buffered entry-point path."""
         results = [
@@ -504,7 +483,7 @@ class CompositeSweep:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
         deadline: Optional[float] = None,
     ) -> Iterator[CellResult]:
         """Yield every sub-sweep's cells in order, globally re-indexed."""
@@ -578,7 +557,7 @@ class CompositeSweep:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
     ) -> CompositeResult:
         """Drain the chained stream and reduce every section."""
         results = [
@@ -788,7 +767,7 @@ def stream_to_emitter(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressCallback] = None,
     on_cell: Optional[Callable[[CellResult], None]] = None,
-    batch: Optional[bool] = None,
+    batch: bool = True,
 ) -> Any:
     """Stream a spec, emitting rows per cell, and return the reduced output.
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bord import Bord, BordPoint
+import numpy as np
+
+from repro.core.bord import GRID_FACTORS, Bord, BordPoint
 from repro.core.roofline import RooflinePoint
 from repro.core.roofsurface import BoundingFactor
 from repro.errors import ConfigurationError
@@ -106,17 +108,19 @@ def bord_svg(
     y_scale = AxisScale(0.0, aixv_max, y_lo, y_hi)
     cell_w = (x_hi - x_lo) / samples
     cell_h = (y_lo - y_hi) / samples
-    for i in range(samples):
-        x = (i + 0.5) / samples * aixm_max
-        for j in range(samples):
-            y = (j + 0.5) / samples * aixv_max
-            color = _REGION_COLORS[bord.classify(x, y)]
+    centers = np.arange(samples) + 0.5
+    xs = (centers / samples * aixm_max).tolist()
+    ys = (centers / samples * aixv_max).tolist()
+    codes = bord.classify_grid(xs, ys).tolist()
+    colors = [_REGION_COLORS[factor] for factor in GRID_FACTORS]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
             canvas.rect(
                 x_scale(x) - cell_w / 2,
                 y_scale(y) - cell_h / 2,
                 cell_w + 0.5,
                 cell_h + 0.5,
-                fill=color,
+                fill=colors[codes[j][i]],
             )
     canvas.text(canvas.width / 2, 20, title, size=13, anchor="middle")
     canvas.line(x_lo, y_lo, x_hi, y_lo)

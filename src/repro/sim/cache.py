@@ -550,17 +550,6 @@ def cached_tile_stream(
     )
 
 
-def cached_simulation(key: Hashable, compute: Callable[[], Any]) -> Any:
-    """Keyed variant of :func:`cached_tile_stream`.
-
-    The batched engine builds each cell's :func:`simulation_key` once to
-    decide stack membership; this front door reuses that key for the
-    fan-in instead of freezing the timing a second time. Identical
-    lookup/miss/spill behaviour to :func:`cached_tile_stream`.
-    """
-    return _GLOBAL_CACHE.get_or_compute(key, compute)
-
-
 def insert_simulation_results(
     items: Sequence[Tuple[Hashable, Any]]
 ) -> List[Any]:

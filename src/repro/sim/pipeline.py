@@ -46,7 +46,9 @@ Performance architecture (docs/PERFORMANCE.md):
   form and verifies it row by row; rows that fail (bound by the
   two-loader hazard) fall back to a plain-float per-tile loop.
 * SERIALIZED's lag-1 feedback through the core's program order keeps a
-  plain-float per-tile loop with all service times precomputed.
+  plain-float per-tile loop with all service times precomputed. It has
+  no stacked engine: the per-row loop beats a cells-vectorized loop up
+  to ~12-row stacks, and no sweep stacks SERIALIZED cells.
 * ``simulate_tile_stream`` memoizes results through
   :mod:`repro.sim.cache`, so sweeps that revisit identical
   ``(system, timing, tiles)`` configurations cost one dict lookup.
@@ -811,16 +813,16 @@ def batch_group_key(timing: KernelTiming, tiles: int, dec=None):
     mode, stream length, window geometry, which tiles decompress — must
     match across the stack, while per-cell magnitudes (byte counts,
     cycle costs, bandwidth shares, latencies) become per-row columns.
-    ``None`` marks a cell the batched engines do not handle (an
-    OVERLAPPED stream mixing dec and no-dec tiles); such cells take the
-    per-cell path unchanged.
+    ``None`` marks a cell the batched engines do not handle — every
+    SERIALIZED cell (its plain-float loop is faster row by row than a
+    stacked loop at the stack widths sweeps build) and an OVERLAPPED
+    stream mixing dec and no-dec tiles; such cells take the per-cell
+    path unchanged.
     """
     tiles = int(tiles)
     mode = timing.mode
     if mode is InvocationMode.SERIALIZED:
-        # The serialized loop has no window feedback and treats zero dec
-        # cycles like any other cost: stream length is the whole shape.
-        return (mode.value, tiles)
+        return None
     if mode is InvocationMode.TEPL:
         return (mode.value, tiles, timing.prefetch_window, timing.n_loaders)
     if dec is None:
@@ -988,97 +990,6 @@ def _run_overlapped_batch(channels, timings, nbytes2, dec2):
     return traces
 
 
-def _run_serialized_batch(channels, timings, nbytes2, dec2):
-    """The SERIALIZED loop of :func:`_run_serialized`, cells-vectorized.
-
-    The per-tile feedback (lag 1 through the core's program order) keeps
-    the tile loop, but each iteration now advances *every* cell's scalar
-    state as one ``(cells,)`` vector op: ``max`` on floats and
-    ``np.maximum`` on float64 vectors select the same IEEE values, so
-    each row is bit-identical to the per-cell loop. State matrices are
-    tile-major so the per-tile row views are contiguous.
-    """
-    k, tiles = nbytes2.shape
-    bpc = np.array([c.bytes_per_cycle for c in channels])
-    service_t = np.ascontiguousarray((nbytes2 / bpc[:, None]).T)
-    dec_t = np.ascontiguousarray(dec2.T)
-    exposed = np.array([
-        t.exposed_latency * c.latency_cycles
-        for t, c in zip(timings, channels)
-    ])
-    invoke = np.array([t.invoke_cycles for t in timings])
-    fence = np.array([t.fence_cycles for t in timings])
-    loader = np.array([t.loader_latency_cycles for t in timings])
-    handoff = np.array([t.handoff_cycles for t in timings])
-    mtx = np.array([t.mtx_cycles for t in timings])
-    done_t = np.zeros((tiles, k))
-    dec_done_t = np.zeros((tiles, k))
-    store_t = np.zeros((tiles, k))
-    mem_done_t = np.zeros((tiles, k))
-    dec_start_t = np.zeros((tiles, k))
-    mtx_start_t = np.zeros((tiles, k))
-    # Hoist the per-tile row views and the ufunc lookups out of the
-    # loop: at small stack widths the loop is dispatch-bound, and
-    # list() materializes all row views in one C pass.
-    service_rows = list(service_t)
-    dec_rows = list(dec_t)
-    done_rows = list(done_t)
-    dec_done_rows = list(dec_done_t)
-    store_rows = list(store_t)
-    mem_done_rows = list(mem_done_t)
-    dec_start_rows = list(dec_start_t)
-    mtx_start_rows = list(mtx_start_t)
-    add = np.add
-    maximum = np.maximum
-    mem_free = np.zeros(k)
-    start = np.empty(k)
-    turnaround = np.empty(k)
-    ready = np.empty(k)
-    wait = np.empty(k)
-    # Priming store for tile 0 before the loop begins (dec_free is zero).
-    now = invoke.copy()
-    store_rows[0][:] = now
-    maximum(now, mem_free, out=start)
-    add(start, service_rows[0], out=mem_free)
-    add(mem_free, exposed, out=mem_done_rows[0])
-    add(now, loader, out=turnaround)
-    maximum(mem_done_rows[0], turnaround, out=ready)
-    dec_start_rows[0][:] = ready
-    add(dec_start_rows[0], dec_rows[0], out=dec_done_rows[0])
-    dec_free = dec_done_rows[0]
-    for i in range(tiles):
-        # Store metadata for tile i+1 (prompts its loader).
-        add(now, invoke, out=now)
-        j = i + 1
-        if j < tiles:
-            store_rows[j][:] = now
-            maximum(now, mem_free, out=start)
-            add(start, service_rows[j], out=mem_free)
-            md = mem_done_rows[j]
-            add(mem_free, exposed, out=md)
-            add(now, loader, out=turnaround)
-            maximum(md, turnaround, out=ready)
-            dsr = dec_start_rows[j]
-            maximum(ready, dec_free, out=dsr)
-            dec_free = dec_done_rows[j]
-            add(dsr, dec_rows[j], out=dec_free)
-        add(now, fence, out=now)
-        # TLoad of tile i waits for DECA plus the data path back.
-        add(dec_done_rows[i], handoff, out=wait)
-        maximum(now, wait, out=now)
-        mtx_start_rows[i][:] = now
-        add(now, mtx, out=now)
-        done_rows[i][:] = now
-    return [
-        PipelineTrace(
-            store_t[:, r].copy(), mem_done_t[:, r].copy(),
-            dec_start_t[:, r].copy(), dec_done_t[:, r].copy(),
-            mtx_start_t[:, r].copy(), done_t[:, r].copy(),
-        )
-        for r in range(k)
-    ]
-
-
 def _run_tepl_batch(channels, timings, nbytes2, dec2):
     """TEPL (Figure 10) for a ``(cells, tiles)`` stack: a checked closed form.
 
@@ -1174,7 +1085,6 @@ _ENGINES = {
 
 _BATCH_ENGINES = {
     InvocationMode.OVERLAPPED: _run_overlapped_batch,
-    InvocationMode.SERIALIZED: _run_serialized_batch,
     InvocationMode.TEPL: _run_tepl_batch,
 }
 
@@ -1235,9 +1145,7 @@ def _build_results_batch(group, nbytes2, dec2, traces):
     return results
 
 
-def simulate_tile_stream_batch(
-    cells, use_cache: bool = True, resolve_cached: bool = True
-):
+def simulate_tile_stream_batch(cells, use_cache: bool = True):
     """Simulate many ``(system, timing, tiles)`` cells, stacking compatible ones.
 
     The cross-cell batched front door: cells whose
@@ -1245,26 +1153,20 @@ def simulate_tile_stream_batch(
     axis and drained through one vectorized engine pass per stage;
     incompatible cells, singleton groups, and (under
     ``FORCE_REFERENCE_ENGINE``) everything fall back to
-    :func:`simulate_tile_stream`. Returns one :class:`SimResult` per
-    input cell, in input order, bit-identical to calling
-    :func:`simulate_tile_stream` per cell.
+    :func:`simulate_tile_stream`. Returns one entry per input cell, in
+    input order: a :class:`SimResult` bit-identical to calling
+    :func:`simulate_tile_stream` for that cell, or ``None`` for a cell
+    this call did not compute (see below).
 
-    With ``use_cache=True`` the stack is built *around* the two-tier
-    cache: cells already resident in memory or on disk are excluded up
-    front (and served through the normal per-cell lookup, so hit
-    counters move exactly as they would unbatched), duplicate keys are
-    computed once, and every freshly batched row is fanned back in under
-    its cell's own :func:`tile_stream_key` — counting one miss and
-    spilling to disk exactly like a per-cell compute.
-
-    ``resolve_cached=False`` is the *seeding* contract the sweep
-    executor uses: cells excluded as already cached (or duplicates of
-    an earlier cell in this stack) are left as ``None`` in the result
-    list instead of being looked up here. The callers' own per-cell
-    lookups then touch each entry exactly once, so cache hit/disk-hit
-    accounting stays identical to the unbatched sweep (a warm disk
-    restart still reads 100% from disk, not 50/50 across a double
-    lookup).
+    With ``use_cache=True`` the call *seeds* the two-tier cache: cells
+    already resident in memory or on disk, and duplicates of an earlier
+    cell in the list, are skipped and come back as ``None``; every
+    freshly batched row is fanned in under its cell's own
+    :func:`tile_stream_key`, counting one miss and spilling to disk
+    exactly like a per-cell compute. The callers' own per-cell lookups
+    then touch each entry exactly once, so cache hit/disk-hit accounting
+    stays identical to the unbatched sweep (a warm disk restart still
+    reads 100% from disk, not 50/50 across a double lookup).
     """
     cells = list(cells)
     results: list = [None] * len(cells)
@@ -1275,7 +1177,6 @@ def simulate_tile_stream_batch(
             )
         return results
     groups: dict = {}
-    deferred: list = []
     seen: set = set()
     keys: dict = {}
     for idx, (system, timing, tiles) in enumerate(cells):
@@ -1286,10 +1187,6 @@ def simulate_tile_stream_batch(
         if use_cache:
             key = tile_stream_key(system, timing, tiles)
             if key in seen or _simcache.simulation_cache_contains(key):
-                # Already cached (either tier) or a duplicate of a cell
-                # earlier in this stack: resolve through the per-cell
-                # lookup after the stacks have landed.
-                deferred.append(idx)
                 continue
             seen.add(key)
             keys[idx] = key
@@ -1332,10 +1229,6 @@ def simulate_tile_stream_batch(
             )
         for pos, idx in enumerate(members):
             results[idx] = rows[pos]
-    if resolve_cached:
-        for idx in deferred:
-            system, timing, tiles = cells[idx]
-            results[idx] = simulate_tile_stream(system, timing, tiles)
     return results
 
 

@@ -7,8 +7,14 @@ import pytest
 from repro.core.bord import Bord
 from repro.core.machine import SPR_HBM
 from repro.errors import ConfigurationError
-from repro.report.figures import bord_svg, roofline_svg, speedup_bars_svg
+from repro.report.figures import (
+    _REGION_COLORS,
+    bord_svg,
+    roofline_svg,
+    speedup_bars_svg,
+)
 from repro.report.svg import AxisScale, SvgCanvas
+from tests.test_core_bord import _DIAGONAL_TIES, _MTX_TIES
 
 
 def _parse(svg: str) -> ET.Element:
@@ -94,6 +100,26 @@ class TestFigureBuilders:
         root = _parse(svg)
         rects = [r for r in root if r.tag.endswith("rect")]
         assert len(rects) > 16 * 16  # region cells + legend + background
+
+    @pytest.mark.parametrize("machine,window,samples", [
+        (SPR_HBM, (0.012, 0.012), 16),
+        (SPR_HBM, (0.03, 0.004), 37),
+        (_DIAGONAL_TIES, (16.0, 16.0), 8),
+        (_MTX_TIES, (16.0, 16.0), 8),
+    ])
+    def test_bord_cells_match_scalar_classify(self, machine, window, samples):
+        bord = Bord(machine)
+        aixm_max, aixv_max = window
+        svg = bord_svg(bord, [], aixm_max, aixv_max, "BORD", samples=samples)
+        rects = [r for r in _parse(svg) if r.tag.endswith("rect")]
+        # rects[0] is the background; the region cells follow, x-major.
+        cells = rects[1:1 + samples * samples]
+        for i in range(samples):
+            x = (i + 0.5) / samples * aixm_max
+            for j in range(samples):
+                y = (j + 0.5) / samples * aixv_max
+                fill = cells[i * samples + j].get("fill")
+                assert fill == _REGION_COLORS[bord.classify(x, y)]
 
     def test_speedup_bars(self):
         svg = speedup_bars_svg(

@@ -4,14 +4,18 @@ The batched entry points promise *bit-identical* results to calling the
 per-cell simulators cell by cell — same floats, same frozen traces, same
 cache counter movement. These tests sweep an equivalence matrix across
 heterogeneous systems, invocation modes, window geometries, per-tile
-array timings, partial cache hits, and the escape hatches.
+array timings, partial cache hits, and the reference-engine escape.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.schemes import PAPER_SCHEMES
-from repro.deca.integration import FULL_INTEGRATION, deca_kernel_timing
+from repro.deca.integration import (
+    FULL_INTEGRATION,
+    INTEGRATION_LADDER,
+    deca_kernel_timing,
+)
 from repro.errors import ConfigurationError
 from repro.kernels.libxsmm import software_kernel_timing
 from repro.sim import pipeline as pipeline_module
@@ -201,14 +205,38 @@ class TestTileStreamEquivalence:
 
 
 class TestBatchGroupKey:
-    def test_serialized_keys_on_mode_and_tiles(self):
-        one = batch_group_key(
-            _timing(mode=InvocationMode.SERIALIZED, prefetch_window=2), 48
-        )
-        two = batch_group_key(
-            _timing(mode=InvocationMode.SERIALIZED, prefetch_window=30), 48
-        )
-        assert one == two  # serialized has no window feedback
+    def test_serialized_keys_on_mode_and_tiles(self, hbm, ddr):
+        # SERIALIZED cells have no stacked engine: every one is keyed
+        # None and takes the per-cell plain-float loop.
+        for window in (2, 30):
+            timing = _timing(
+                mode=InvocationMode.SERIALIZED, prefetch_window=window
+            )
+            assert batch_group_key(timing, 48) is None
+        # Figure 17's ladder mixes SERIALIZED rungs with the TEPL one;
+        # through the batched front door every cell still matches the
+        # per-cell result, and the SERIALIZED traces match the reference.
+        cells = [
+            (system, deca_kernel_timing(
+                system, scheme, config=None, integration=integration,
+            ), 96)
+            for system in (hbm, ddr)
+            for scheme in PAPER_SCHEMES[:3]
+            for integration in INTEGRATION_LADDER
+        ]
+        modes = {t.mode for _, t, _ in cells}
+        assert modes == {InvocationMode.SERIALIZED, InvocationMode.TEPL}
+        batched = _assert_batch_matches_per_cell(cells)
+        serialized = 0
+        for (system, timing, tiles), result in zip(cells, batched):
+            if timing.mode is InvocationMode.SERIALIZED:
+                serialized += 1
+                reference = simulate_tile_stream_reference(
+                    system, timing, tiles
+                )
+                assert results_bit_equal(result.trace, reference.trace)
+                assert result.makespan_cycles == reference.makespan_cycles
+        assert serialized == 24
 
     def test_tepl_keys_on_window_and_loaders(self):
         base = _timing(mode=InvocationMode.TEPL)
@@ -263,12 +291,16 @@ class TestCacheInterplay:
         before = simulation_cache_stats()
         batched = simulate_tile_stream_batch(cells)
         after = simulation_cache_stats()
-        # Warm cells are served from cache (one hit each), cold cells
-        # are computed (one miss each).
-        assert after.hits == before.hits + 2
+        # Warm cells are skipped untouched (no hit: the caller's own
+        # lookup counts it) and come back as None; cold cells are
+        # computed (one miss each).
+        assert after.hits == before.hits
         assert after.misses == before.misses + 2
-        assert batched[0] is warm[0]
-        assert batched[2] is warm[1]
+        assert batched[0] is None and batched[2] is None
+        assert simulate_tile_stream(*cells[0]) is warm[0]
+        assert simulate_tile_stream(*cells[2]) is warm[1]
+        for idx in (1, 3):
+            assert simulate_tile_stream(*cells[idx]) is batched[idx]
 
     def test_duplicate_cells_compute_once(self, hbm):
         timing = _timing(bytes_per_tile=640.0)
@@ -278,10 +310,12 @@ class TestCacheInterplay:
         batched = simulate_tile_stream_batch(cells)
         stats = simulation_cache_stats()
         assert stats.misses == 2
-        assert stats.hits == 1
-        assert batched[0] is batched[2]
+        assert stats.hits == 0
+        # The duplicate is left for the caller's lookup, which hits.
+        assert batched[2] is None
+        assert simulate_tile_stream(hbm, timing, 48) is batched[0]
         assert results_bit_equal(
-            batched[0], simulate_tile_stream(hbm, timing, 48)
+            batched[0], simulate_tile_stream(hbm, timing, 48, use_cache=False)
         )
 
     def test_batched_results_serve_later_per_cell_calls(self, hbm):

@@ -5,9 +5,8 @@ covered by ``test_sim_batched.py``; these tests pin the *routing*: a
 ``SweepSpec`` carrying a :func:`batchable` annotation must produce
 exactly the records, ordering, emission rows, and cache behaviour of
 the per-cell path — with batching observable only through cache
-counters — and every escape hatch (``batch=`` argument,
-``REPRO_NO_BATCH`` env, :func:`set_batching_enabled`) must actually
-disable it.
+counters — and ``batch=False``, the one way to turn it off, must
+actually disable it. Every registered scenario is checked both ways.
 """
 
 import io
@@ -20,7 +19,8 @@ from repro.experiments.speedups import sweep_speedups
 from repro.experiments.sweepspec import (
     JsonlEmitter,
     batching_enabled,
-    set_batching_enabled,
+    get_scenario,
+    scenario_names,
     stream_to_emitter,
 )
 from repro.sim.cache import clear_simulation_cache, simulation_cache_stats
@@ -43,27 +43,9 @@ def _grid_records(batch, tiles=64, jobs=1):
 class TestBatchingFlag:
     def test_default_enabled(self):
         assert batching_enabled() is True
-
-    def test_set_batching_enabled_round_trips(self):
-        previous = set_batching_enabled(False)
-        try:
-            assert previous is True
-            assert batching_enabled() is False
-        finally:
-            set_batching_enabled(True)
-        assert batching_enabled() is True
-
-    def test_env_escape_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        assert batching_enabled() is False
-
-    def test_env_zero_is_not_an_escape(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "0")
-        assert batching_enabled() is True
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        assert batching_enabled(True) is True
+        # ``None`` (what a wrapper passing the argument through sends)
+        # reads as the default; only a false value turns batching off.
+        assert batching_enabled(None) is True
         assert batching_enabled(False) is False
 
 
@@ -86,22 +68,6 @@ class TestGridRouting:
         stats = simulation_cache_stats()
         assert stats.misses == 48
         assert stats.hits == 0
-
-    def test_env_escape_routes_per_cell(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        records = _grid_records(batch=None)
-        assert simulation_cache_stats().hits == 0
-        clear_simulation_cache()
-        monkeypatch.delenv("REPRO_NO_BATCH")
-        assert records == run_grid(tiles=64)
-
-    def test_process_flag_routes_per_cell(self):
-        set_batching_enabled(False)
-        try:
-            _grid_records(batch=None)
-            assert simulation_cache_stats().hits == 0
-        finally:
-            set_batching_enabled(True)
 
     def test_stream_preserves_index_order_and_coords(self):
         spec = grid_spec(tiles=64)
@@ -137,6 +103,23 @@ class TestSpeedupRouting:
         per_cell = sweep_speedups(hbm_system(), tiles=64, batch=False)
         assert batched == per_cell
         assert len(batched) == 12
+
+
+class TestScenarioRouting:
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_batched_matches_per_cell(self, name):
+        """Every registered scenario: same rows and output either way."""
+        spec = get_scenario(name).build()
+        runs = []
+        for batch in (True, False):
+            clear_simulation_cache()
+            buf = io.StringIO()
+            output = stream_to_emitter(
+                spec, JsonlEmitter(buf), jobs=1, batch=batch
+            )
+            runs.append((buf.getvalue(), output, spec.render(output)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0].splitlines()) >= spec.cell_count
 
 
 class TestParallelRouting:
